@@ -244,7 +244,7 @@ _PLAN_BATTERY_SOURCE = "\n".join(
 
 
 def bench_query_plan() -> dict:
-    """The validation-gated query planner: planned vs unplanned latency.
+    """The query planner: planned vs unplanned latency.
 
     Two batteries:
 
@@ -262,8 +262,6 @@ def bench_query_plan() -> dict:
       contract -- and ``--gate`` fails on any mismatch or on a >25%
       median-normalized planned-latency regression.
     """
-    from repro.plan import default_corpus
-
     spe = compile_sppl(_PLAN_BATTERY_SOURCE)
     rng = np.random.default_rng(23)
     events = []
@@ -326,11 +324,7 @@ def bench_query_plan() -> dict:
             "speedup": round(base_t / plan_t, 2) if plan_t > 0 else 1.0,
             "bit_identical": bit_identical,
         }
-    return {
-        "disjoint_battery": disjoint,
-        "validated": validated,
-        "corpus_pairs": len(default_corpus()),
-    }
+    return {"disjoint_battery": disjoint, "validated": validated}
 
 
 def bench_cache_bound() -> dict:
@@ -1124,16 +1118,6 @@ def main() -> int:
             baseline_path = REPO_ROOT / baseline_path
         baseline = json.loads(baseline_path.read_text())
         failures = check_gate(snapshot, baseline)
-        # The rewrite corpus is part of the gate: every committed pair
-        # must still validate bit-identically against today's passes.
-        corpus_path = REPO_ROOT / "benchmarks" / "REWRITE_PAIRS.json"
-        if corpus_path.exists():
-            from repro.plan.validate import revalidate_corpus
-
-            failures.extend(
-                "rewrite corpus: %s" % failure
-                for failure in revalidate_corpus(corpus_path)
-            )
         if failures:
             print("\nREGRESSION GATE FAILED (baseline %s):" % (baseline_path,))
             for failure in failures:

@@ -11,9 +11,8 @@ Demonstrates the ``repro.serve`` subsystem end to end:
 5. read the stats endpoint (coalescing counters, exact cache hit/miss,
    per-kind latency percentiles, and per-pass **query-planner**
    counters — the registry plans every served model in ``validated``
-   mode by default, so corpus-proven bit-identical rewrites like
-   disjoint-scope factoring apply automatically and semantically equal
-   query spellings share one result-cache entry),
+   mode by default, which only removes exact duplicates, so every query
+   text is answered bit for bit as the library answers it),
 6. register a new model on the **live** service (no restart), query it,
    and unregister it again — with a registry **journal** attached, so
    the registration would survive a service restart,
@@ -23,7 +22,7 @@ Demonstrates the ``repro.serve`` subsystem end to end:
    copy of the compiled tables,
 8. fetch the **execution trace** of one query (``"trace": true`` on the
    wire, ``GET /v1/trace/<id>`` to retrieve) and print its span tree —
-   queue wait, coalesced batch, planner pass outcome, cache hit/miss,
+   queue wait, coalesced batch, cache hit/miss,
    and the compiled-vs-interpreted engine route, span by span,
 9. open a **streaming posterior session** (``POST /v1/sessions``): each
    ``observe`` extends a named condition chain held only in the
@@ -160,32 +159,28 @@ async def main() -> None:
         )
 
         # -- 5b. Query-planner statistics ------------------------------------
-        # The registry serves every model with plan="validated": rewrites
-        # from the committed benchmarks/REWRITE_PAIRS.json corpus (each
-        # proven bit-identical against the unplanned path) apply on the
-        # fly.  This conjunction touches disjoint children of noisy_or's
-        # product root, so the planner factors it into two cheaper
-        # single-scope queries — and because caches key on the semantic
-        # event digest, the reordered second spelling is a cache hit, not
-        # a re-evaluation.
+        # The registry serves every model with plan="validated": its only
+        # pass removes exact duplicates, so each text is answered bit for
+        # bit as the library answers it.  The first two spellings denote
+        # one event but are two computations (clause order reaches the
+        # final log-sum, so the answers may differ in the last bit), and
+        # each gets its own result-cache entry; asking a spelling again
+        # is a cache hit.
         for spelling in (
-            "disease_0 == 1 and disease_1 == 1",
-            "disease_1 == 1 and disease_0 == 1",
+            "disease_0 == 1 or symptom_0 == 1",
+            "symptom_0 == 1 or disease_0 == 1",
+            "disease_0 == 1 or symptom_0 == 1",
         ):
             response = await client.query(
                 {"model": "noisy_or", "kind": "logprob", "event": spelling}
             )
-            print("  logprob(%s) = %.6f" % (spelling, value_of(response)))
+            print("  logprob(%s) = %r" % (spelling, value_of(response)))
         stats = await client.stats()
         noisy_or_stats = stats["backend"]["models"]["noisy_or"]
         plan = noisy_or_stats["plan"]
-        factored = plan["passes"]["disjoint_factor"]
+        print("noisy_or planner: mode=%s passes=%s" % (plan["mode"], plan["passes"]))
         print(
-            "noisy_or planner: mode=%s corpus_pairs=%d disjoint_factor applied=%d"
-            % (plan["mode"], plan["corpus_pairs"], factored["applied"])
-        )
-        print(
-            "noisy_or result cache across spellings: %d hit / %d miss"
+            "noisy_or result cache: %d hit / %d miss"
             % (noisy_or_stats["results"]["hits"], noisy_or_stats["results"]["misses"])
         )
 
@@ -232,11 +227,10 @@ async def main() -> None:
         # request opting in with "trace": true (or sampled in via
         # --trace-sample, or --slow-query-ms for outliers) additionally
         # builds a span tree — queue wait, micro-batch coalescing,
-        # planner pass outcomes, cache hits, engine route — kept in the
+        # cache hits, engine route — kept in the
         # flight-recorder ring and retrievable at GET /v1/trace/<id>.
         # This is the "why was this query slow?" artifact: here the cold
-        # conjunction pays for planning + evaluation, visible span by
-        # span.
+        # conjunction pays for evaluation, visible span by span.
         response = await client.query(
             {
                 "model": "hmm20",

@@ -51,7 +51,6 @@ from ..compiler import compile_command
 from ..compiler import compile_sppl
 from ..compiler import render_spe
 from ..events import Event
-from ..events import event_digest
 from ..plan import QueryPlanner
 from ..plan import execute_condition_chain
 from ..plan import execute_logprob_plan
@@ -96,18 +95,15 @@ class SpplModel:
     ``TranslationOptions(dedup=False)`` ablation baselines through the
     model layer.
 
-    ``plan`` routes queries through the validation-gated query planner
+    ``plan`` routes queries through the query planner
     (:mod:`repro.plan`): ``"off"`` (default) evaluates every query as
-    written; ``"validated"`` applies only rewrites the persisted corpus
-    has proven bit-identical (plus the exact-by-construction batch
-    deduplication); ``"all"`` applies every exact-math rewrite without
-    consulting the corpus.  With planning enabled, the parsed-event LRU
-    additionally canonicalizes by :func:`~repro.events.event_digest`, so
-    textual variants of one predicate resolve to a single shared
-    :class:`~repro.events.Event`.  Posterior models returned by
-    :meth:`condition` / :meth:`constrain` share their parent's planner
-    (one set of per-pass counters per model family).  ``plan_corpus``
-    overrides the corpus the ``"validated"`` mode consults (tests).
+    written; ``"validated"`` applies only the exact-by-construction
+    batch deduplication, so its answers are bit-identical to ``"off"``
+    however queries are spelled or ordered; ``"all"`` additionally
+    applies every structural rewrite (answers may move by an ulp).
+    Posterior models returned by :meth:`condition` / :meth:`constrain`
+    share their parent's planner (one set of per-pass counters per
+    model family).
     """
 
     def __init__(
@@ -117,7 +113,6 @@ class SpplModel:
         intern: bool = True,
         cache_size: Optional[int] = None,
         plan: Optional[str] = None,
-        plan_corpus=None,
     ):
         if not isinstance(spe, SPE):
             raise TypeError("SpplModel requires a sum-product expression.")
@@ -147,21 +142,14 @@ class SpplModel:
         if plan is None:
             plan = "off"
         if plan == "off":
-            if plan_corpus is not None:
-                raise ValueError("plan_corpus is meaningless with plan='off'.")
             self._planner: Optional[QueryPlanner] = None
         elif isinstance(plan, str):
-            self._planner = QueryPlanner(plan, corpus=plan_corpus)
+            self._planner = QueryPlanner(plan)
         else:
             raise TypeError(
                 "plan must be 'off', 'validated', or 'all'; got %r." % (plan,)
             )
         self._event_cache: "OrderedDict[str, Event]" = OrderedDict()
-        #: Digest-keyed canonical parsed events (planning only): textual
-        #: variants of one predicate resolve to a single Event object, so
-        #: every downstream cache shares one identity for them.
-        self._event_digests: "OrderedDict[str, Event]" = OrderedDict()
-        self._event_digest_hits = 0
         self._event_cache_lock = threading.Lock()
         # Ragged logpdf batches dispatched through the kernel per
         # scope-signature group (counters surfaced by cache_stats).
@@ -342,8 +330,6 @@ class SpplModel:
             stats["evictions_per_s"] = self._eviction_rate(stats.get("evictions", 0))
         with self._event_cache_lock:
             stats["event_cache_entries"] = len(self._event_cache)
-            stats["event_digest_entries"] = len(self._event_digests)
-            stats["event_digest_hits"] = self._event_digest_hits
         if self._logpdf_grouped_batches:
             stats["logpdf_grouped_batches"] = self._logpdf_grouped_batches
             stats["logpdf_grouped_fallbacks"] = self._logpdf_grouped_fallbacks
@@ -365,7 +351,6 @@ class SpplModel:
         """Drop the parsed-event LRU (textual queries re-parse on next use)."""
         with self._event_cache_lock:
             self._event_cache.clear()
-            self._event_digests.clear()
 
     def clear_cache(self, everything: bool = False) -> None:
         """Drop cached traversal results for this model (releases posteriors).
@@ -452,13 +437,7 @@ class SpplModel:
         Textual events are memoized in a small LRU (events are immutable,
         parsing is deterministic in the scope, and ``ast`` parsing costs
         more than a warm traversal, so services replaying query strings
-        skip it entirely on repeats).  With planning enabled the LRU is
-        additionally keyed by the normalized
-        :func:`~repro.events.event_digest`: textually different variants
-        of one predicate (``"X < 3 and Y > 1"`` vs ``"Y > 1 and X < 3"``)
-        resolve to one shared :class:`~repro.events.Event` object, so the
-        query cache and every downstream result cache see a single
-        identity instead of one per spelling.
+        skip it entirely on repeats).
         """
         if isinstance(event, Event):
             return event
@@ -471,41 +450,13 @@ class SpplModel:
                     return cached
             obs.bump("event_cache.misses")
             parsed = parse_event(event, self.spe.scope)
-            digest = event_digest(parsed) if self._planner is not None else None
             with self._event_cache_lock:
-                if digest is not None:
-                    canonical = self._event_digests.get(digest)
-                    if canonical is not None:
-                        self._event_digest_hits += 1
-                        parsed = canonical
-                        self._event_digests.move_to_end(digest)
-                    else:
-                        self._event_digests[digest] = parsed
-                        while len(self._event_digests) > EVENT_CACHE_ENTRIES:
-                            self._event_digests.popitem(last=False)
                 self._event_cache[event] = parsed
                 self._event_cache.move_to_end(event)
                 while len(self._event_cache) > EVENT_CACHE_ENTRIES:
                     self._event_cache.popitem(last=False)
             return parsed
         raise TypeError("Expected an Event or event string, got %r." % (event,))
-
-    def resolve_key(self, event: EventLike) -> Optional[str]:
-        """The canonical cache key of a textual/structured event, or None.
-
-        With planning enabled this is the normalized
-        :func:`~repro.events.event_digest` (shared by every textual
-        variant of the predicate); with planning off — or when the event
-        does not parse — it is ``None`` and callers should key on the raw
-        text.  Used by the serve ``ResultCache`` to collapse variant
-        spellings onto one entry.
-        """
-        if self._planner is None:
-            return None
-        try:
-            return event_digest(self._resolve_event(event))
-        except Exception:
-            return None
 
     @contextlib.contextmanager
     def _traced_cache_deltas(self, tracer):
@@ -551,9 +502,10 @@ class SpplModel:
         to the interpreted traversal, typically an order of magnitude
         faster.  Otherwise the events share one cached traversal pass.
         With planning enabled the batch is first deduplicated by event
-        digest (exact pass) and each unique event planned individually;
-        factored plans are flattened into the kernel call and their parts
-        recombined with the same running sum the interpreted path uses.
+        identity (exact pass) and each unique event planned individually;
+        factored plans (``plan="all"``) are flattened into the kernel call
+        and their parts recombined with the same running sum the
+        interpreted path uses.
         """
         use_kernel = (
             memo is None and self._compiled is not None and not self._compiled.closed
@@ -709,8 +661,8 @@ class SpplModel:
         The posterior model shares this model's query cache: traversal
         results for sub-expressions common to prior and posterior are
         reused across the whole ``condition → query`` chain.  With
-        planning enabled, a validated multi-scope condition is split into
-        a cost-ordered chain of smaller conditions, each restricting only
+        ``plan="all"``, a multi-scope condition is split into a
+        cost-ordered chain of smaller conditions, each restricting only
         the product children it touches.
 
         Raises :class:`~repro.spe.ZeroProbabilityError` (a ``ValueError``)

@@ -3,10 +3,9 @@
 Two textually different queries frequently denote the same predicate —
 ``"X < 3 and Y > 1"`` versus ``"Y > 1 and X < 3"``, a double negation, a
 transformed literal versus its solved interval.  This module gives every
-event a *canonical structural form* and a *stable digest* so that
-semantically equal events share one cache identity everywhere (the engine
-parsed-event LRU, the engine :class:`~repro.spe.QueryCache`, the serve
-``ResultCache``) and so the query planner can name rewrites by digest.
+event a *canonical structural form* and a *stable digest*: the query
+planner's ``normalize`` pass (``plan="all"``) evaluates the canonical
+form, and its trace events name each rewrite by digest.
 
 The canonicalization is purely structural and runs in time linear-ish in
 the event size (it never expands to DNF, so it is safe on conjunctions of
@@ -24,7 +23,7 @@ disjunctions whose DNF would explode):
 
 Equal canonical keys imply semantically equal events (every step above
 preserves semantics and the result is a deterministic function), which is
-the direction caching needs.  The converse does not hold in general —
+the direction a rewrite needs.  The converse does not hold in general —
 propositional equivalence is not decided — but reordered clauses, double
 negations, shuffled conjunctions and solved transforms all land on the
 same key, which is what real query traffic repeats.
@@ -32,9 +31,8 @@ same key, which is what real query traffic repeats.
 **Caution**: :func:`normalize_event` preserves *semantics*, not the
 floating-point *bit pattern* of downstream queries — ``disjoin`` and the
 final ``log_add`` are order-sensitive, so reordering DNF clauses can move
-a probability by an ulp.  Bit-level safety of evaluating the normalized
-form in place of the original is exactly what the query planner's
-validation corpus (:mod:`repro.plan.validate`) establishes per rewrite.
+a probability by an ulp.  That is why no cache keys on the digest and
+why the planner evaluates normalized forms only in ``plan="all"``.
 """
 
 from __future__ import annotations

@@ -1,18 +1,17 @@
-"""Validation-gated query planning: normalize → rewrite → cost-order.
+"""Query planning: exact batch deduplication and opt-in structural rewrites.
 
-The planner sits between the parsed event and the engine call.  Every
-query entering :class:`~repro.engine.SpplModel` with planning enabled is
-normalized (:mod:`repro.events.normalize`), candidate rewrites are
-generated by the passes of :mod:`repro.plan.passes`, and — in the default
-``"validated"`` mode — a rewrite is applied only when the persisted
-corpus (``benchmarks/REWRITE_PAIRS.json``) holds a differentially
-validated, bit-identical before/after pair for it.  ``plan="all"``
-applies every exact-math rewrite without consulting the corpus (answers
-may move by an ulp where the corpus would have filtered the pair), and
-``plan="off"`` disables the planner entirely.
+The planner sits between the parsed event and the engine call.  It has
+three modes, chosen by ``SpplModel(plan=...)``:
 
-See :mod:`repro.plan.validate` for the harness that builds and re-checks
-the corpus.
+* ``"off"`` — no planner; every query runs as written.
+* ``"validated"`` (the serve default) — only passes that are exact by
+  construction apply: :meth:`QueryPlanner.dedup_batch` evaluates
+  repeated events of one batch once.  Answers are bit-identical to
+  ``"off"`` however requests are spelled or ordered.
+* ``"all"`` — additionally applies every structural rewrite of
+  :mod:`repro.plan.passes` (normalize, fuse_union, disjoint_factor,
+  condition_pushdown, chain_order).  Answers are exact-math equal to the
+  unplanned path but may differ from it in the last ulp.
 """
 
 from .passes import chain_order
@@ -20,25 +19,19 @@ from .passes import condition_pushdown
 from .passes import disjoint_factor
 from .passes import fuse_union
 from .passes import normalize_pass
-from .passes import structural_digest
 from .planner import PLAN_MODES
-from .planner import PlanCorpus
 from .planner import QueryPlanner
-from .planner import default_corpus
 from .planner import execute_condition_chain
 from .planner import execute_logprob_plan
 
 __all__ = [
     "PLAN_MODES",
-    "PlanCorpus",
     "QueryPlanner",
     "chain_order",
     "condition_pushdown",
-    "default_corpus",
     "disjoint_factor",
     "execute_condition_chain",
     "execute_logprob_plan",
     "fuse_union",
     "normalize_pass",
-    "structural_digest",
 ]

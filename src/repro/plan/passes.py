@@ -1,11 +1,8 @@
 """Rewrite passes over events: each returns ``None`` or a rewritten form.
 
 Every pass preserves exact-real-arithmetic semantics by construction; none
-is assumed bit-preserving.  The validation harness
-(:mod:`repro.plan.validate`) differentially checks emitted pairs against
-the unplanned path on both the interpreted and the compiled kernels, and
-only pairs that reproduce the answer *bit for bit* enter the corpus the
-default ``"validated"`` planner mode consults.
+is assumed bit-preserving (``disjoin`` and the final ``log_add`` are
+order-sensitive), so the planner applies them only in ``plan="all"``.
 
 The passes:
 
@@ -27,7 +24,6 @@ The passes:
 
 from __future__ import annotations
 
-import hashlib
 from typing import List
 from typing import Optional
 from typing import Sequence
@@ -42,32 +38,6 @@ from ..spe import SPE
 from ..spe import ProductSPE
 from ..spe import estimate_visited_nodes
 from ..transforms import Identity
-
-#: Every rewrite class the planner knows, in the order candidate
-#: rewrites are attempted at query time.
-PASS_NAMES = (
-    "normalize",
-    "fuse_union",
-    "disjoint_factor",
-    "condition_pushdown",
-    "chain_order",
-    "dedup_batch",
-)
-
-
-def structural_digest(rewritten) -> str:
-    """Digest of the rewritten *structure* (an event or a chain of events).
-
-    Unlike :func:`repro.events.event_digest` (which is invariant across
-    semantically equal forms — by design, the original and its rewrite
-    share one), this keys the concrete shape a pass produced, so the
-    corpus can detect a pass whose output drifted since validation.
-    """
-    if isinstance(rewritten, Event):
-        text = repr(rewritten)
-    else:
-        text = "||".join(repr(event) for event in rewritten)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,29 @@
-"""The corpus-gated query planner and its execution helpers.
+"""The query planner and its execution helpers.
 
 :class:`QueryPlanner` turns a resolved event into a *plan* — either the
 event itself (possibly rewritten) or a sum/chain of smaller events — and
-counts, per pass, how often a rewrite applied and how often the corpus
-gate refused one.  The execution helpers
+counts, per pass, how often a rewrite applied.  The execution helpers
 (:func:`execute_logprob_plan`, :func:`execute_condition_chain`) are the
-**only** code that combines partial results, and they are shared between
-the engine (:class:`~repro.engine.SpplModel`) and the validation harness
-(:mod:`repro.plan.validate`), so what the corpus certifies is exactly
-what production queries run.
+**only** code that combines partial results.
 
 Modes:
 
 * ``"off"`` — no planner is constructed; queries run as written.
-* ``"validated"`` (serve default) — a structural rewrite applies only if
-  the loaded corpus holds a bit-identical validated pair for exactly this
-  ``(pass, input digest)`` whose recorded output shape matches what the
-  pass produced now.  Exact-by-construction passes (batch deduplication
-  by event digest) always apply.
-* ``"all"`` — every pass applies unconditionally; answers are exact-math
-  equal to the unplanned path but may differ in the last ulp where the
-  corpus would have filtered the pair.
+* ``"validated"`` (serve default) — only passes that are exact by
+  construction apply, which today is :meth:`QueryPlanner.dedup_batch`
+  alone.  Every answer is bit-identical to ``"off"`` however the queries
+  are spelled or ordered; no rewrite candidate is ever computed.
+* ``"all"`` — every structural rewrite applies (``normalize``,
+  ``fuse_union``, ``disjoint_factor``, ``condition_pushdown``,
+  ``chain_order``); answers are exact-math equal to the unplanned path
+  but may differ from it in the last ulp.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-from pathlib import Path
 from typing import Dict
 from typing import List
-from typing import Optional
 from typing import Sequence
 from typing import Tuple
 
@@ -45,84 +37,9 @@ from .passes import condition_pushdown
 from .passes import disjoint_factor
 from .passes import fuse_union
 from .passes import normalize_pass
-from .passes import structural_digest
 
 #: Recognized values of the ``plan=`` switch.
 PLAN_MODES = ("off", "validated", "all")
-
-#: Environment override for the corpus location (tests, deployments).
-CORPUS_ENV = "REPRO_PLAN_CORPUS"
-
-#: Repo-relative default corpus path (committed, CI-revalidated).
-CORPUS_RELPATH = os.path.join("benchmarks", "REWRITE_PAIRS.json")
-
-#: Passes that are bit-identical by construction: evaluating one event
-#: once and fanning the float out to duplicate batch slots cannot change
-#: any answer, so no corpus entry is required.
-EXACT_PASSES = frozenset({"dedup_batch"})
-
-
-class PlanCorpus:
-    """The validated rewrite corpus, indexed for the runtime gate.
-
-    A pair authorizes one rewrite: pass ``p`` may transform an input
-    whose digest is ``d`` only into the exact output shape recorded when
-    the pair was proven bit-identical.  Unknown inputs and drifted output
-    shapes fall back to the unplanned path.
-    """
-
-    def __init__(self, pairs: Sequence[Dict] = ()):
-        self.pairs = list(pairs)
-        self._index: Dict[Tuple[str, str], str] = {}
-        for pair in self.pairs:
-            key = (pair.get("pass"), pair.get("original_digest"))
-            if key[0] and key[1]:
-                self._index[key] = pair.get("rewritten_digest", "")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def allows(self, pass_name: str, original_digest: str,
-               rewritten_digest: str) -> bool:
-        return self._index.get((pass_name, original_digest)) == rewritten_digest
-
-    @classmethod
-    def load(cls, path) -> "PlanCorpus":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        pairs = data.get("pairs", []) if isinstance(data, dict) else []
-        return cls(pairs)
-
-
-_EMPTY_CORPUS = PlanCorpus()
-_default_corpus_cache: Dict[str, PlanCorpus] = {}
-
-
-def default_corpus() -> PlanCorpus:
-    """The committed corpus (``benchmarks/REWRITE_PAIRS.json``), cached.
-
-    Resolution order: the :data:`CORPUS_ENV` environment variable, then
-    the repository-relative default.  A missing or unreadable file yields
-    an empty corpus — ``"validated"`` mode then applies only the
-    exact-by-construction passes, never guesses.
-    """
-    path = os.environ.get(CORPUS_ENV)
-    if not path:
-        path = str(Path(__file__).resolve().parents[3] / CORPUS_RELPATH)
-    cached = _default_corpus_cache.get(path)
-    if cached is not None:
-        return cached
-    try:
-        corpus = PlanCorpus.load(path)
-    except (OSError, ValueError):
-        corpus = _EMPTY_CORPUS
-    _default_corpus_cache[path] = corpus
-    return corpus
-
-
-def clear_corpus_cache() -> None:
-    """Forget cached corpora (tests that swap the env var call this)."""
-    _default_corpus_cache.clear()
 
 
 #: A logprob plan: ``("event", event)`` or ``("sum", [event, ...])``.
@@ -130,7 +47,7 @@ LogprobPlan = Tuple
 
 
 def execute_logprob_plan(spe: SPE, plan: LogprobPlan, memo) -> float:
-    """Evaluate a logprob plan against an expression (shared with validate).
+    """Evaluate a logprob plan against an expression.
 
     The ``"sum"`` combination is a left-to-right running sum starting at
     ``0.0`` — exactly the accumulation order of the product-node
@@ -147,7 +64,7 @@ def execute_logprob_plan(spe: SPE, plan: LogprobPlan, memo) -> float:
 
 
 def execute_condition_chain(spe: SPE, chain: Sequence[Event], memo) -> SPE:
-    """Fold a chain of condition events (shared with validate)."""
+    """Fold a chain of condition events."""
     for event in chain:
         spe = spe.condition(event, memo=memo)
     return spe
@@ -158,30 +75,20 @@ class QueryPlanner:
 
     Thread-safe: serve evaluates batches on executor threads, and
     posterior models share their parent's planner, so the counters are
-    guarded by a lock.  Counter shape per pass:
-    ``{"applied": n, "fallback": n}`` — ``applied`` counts rewrites that
-    fired, ``fallback`` counts candidates the corpus gate refused (the
-    query then ran unplanned).  ``hits`` on ``dedup_batch`` counts batch
+    guarded by a lock.  Counter shape per pass: ``{"applied": n}``
+    counts rewrites that fired; ``hits`` on ``dedup_batch`` counts batch
     slots served from a duplicate's single evaluation.
     """
 
-    def __init__(self, mode: str = "validated",
-                 corpus: Optional[PlanCorpus] = None):
+    def __init__(self, mode: str = "validated"):
         if mode not in PLAN_MODES or mode == "off":
             raise ValueError(
                 "plan mode must be one of %s (planner is never built for "
                 "'off'); got %r." % (", ".join(PLAN_MODES), mode)
             )
         self.mode = mode
-        self._corpus = corpus
         self._lock = threading.Lock()
         self._counters: Dict[str, Dict[str, int]] = {}
-
-    @property
-    def corpus(self) -> PlanCorpus:
-        if self._corpus is None:
-            self._corpus = default_corpus()
-        return self._corpus
 
     # -- Counters -------------------------------------------------------------
 
@@ -195,87 +102,79 @@ class QueryPlanner:
             passes = {
                 name: dict(bucket) for name, bucket in sorted(self._counters.items())
             }
-        return {
-            "mode": self.mode,
-            "corpus_pairs": len(self.corpus),
-            "passes": passes,
-        }
+        return {"mode": self.mode, "passes": passes}
 
-    # -- The gate -------------------------------------------------------------
+    def _applied(self, pass_name: str, digest: str) -> None:
+        """Count one applied rewrite and record it on the active trace.
 
-    def _admit(self, pass_name: str, original_digest: str, rewritten) -> bool:
-        """Apply the mode/corpus gate to one candidate rewrite.
-
-        Each decision is also recorded on the active trace (when one is
-        — the obs helpers are no-ops otherwise), so a retrieved span
-        tree shows exactly which passes fired and which the corpus gate
-        refused, keyed by the input's semantic digest.
+        The obs helpers are no-ops without a trace; with one, a
+        retrieved span tree shows which passes fired, keyed by the
+        input's semantic digest.
         """
-        if self.mode == "all" or pass_name in EXACT_PASSES:
-            self._count(pass_name, "applied")
-            obs.event("plan." + pass_name, outcome="applied",
-                      digest=original_digest[:12])
-            return True
-        if self.corpus.allows(
-            pass_name, original_digest, structural_digest(rewritten)
-        ):
-            self._count(pass_name, "applied")
-            obs.event("plan." + pass_name, outcome="applied",
-                      digest=original_digest[:12])
-            return True
-        self._count(pass_name, "fallback")
-        obs.event("plan." + pass_name, outcome="fallback",
-                  digest=original_digest[:12])
-        return False
+        self._count(pass_name, "applied")
+        obs.event("plan." + pass_name, outcome="applied", digest=digest[:12])
 
     # -- Planning -------------------------------------------------------------
 
     def plan_logprob(self, spe: SPE, event: Event) -> LogprobPlan:
         """Plan one probability query: factor, then fuse/normalize."""
+        if self.mode != "all":
+            return ("event", event)
         digest = event_digest(event)
         groups = disjoint_factor(spe, event)
-        if groups is not None and self._admit("disjoint_factor", digest, groups):
-            return ("sum", [self._rewrite_event(g) for g in groups])
-        return ("event", self._rewrite_event(event, digest=digest))
+        if groups is not None:
+            self._applied("disjoint_factor", digest)
+            return ("sum", [self._rewrite_event(g, event_digest(g)) for g in groups])
+        return ("event", self._rewrite_event(event, digest))
 
-    def _rewrite_event(self, event: Event, digest: Optional[str] = None) -> Event:
+    def _rewrite_event(self, event: Event, digest: str) -> Event:
         """Event-level rewrites (fuse_union, then normalize).
 
-        All event-level passes preserve the semantic digest (they are
-        semantics-preserving and :func:`~repro.events.event_digest` is
-        canonical), so one digest keys every stage's corpus lookup.
+        Both passes preserve semantics and
+        :func:`~repro.events.event_digest` is canonical, so one digest
+        names every stage.
         """
-        if digest is None:
-            digest = event_digest(event)
         fused = fuse_union(event)
-        if fused is not None and self._admit("fuse_union", digest, fused):
+        if fused is not None:
+            self._applied("fuse_union", digest)
             event = fused
         normalized = normalize_pass(event)
-        if normalized is not None and self._admit("normalize", digest, normalized):
+        if normalized is not None:
+            self._applied("normalize", digest)
             event = normalized
         return event
 
     def plan_condition(self, spe: SPE, event: Event) -> List[Event]:
         """Plan one condition call: push down, then cost-order the chain."""
-        digest = event_digest(event)
-        chain = condition_pushdown(spe, event)
-        if chain is None or not self._admit("condition_pushdown", digest, chain):
+        if self.mode != "all":
             return [event]
+        chain = condition_pushdown(spe, event)
+        if chain is None:
+            return [event]
+        self._applied("condition_pushdown", event_digest(event))
         return self.order_chain(spe, chain)
 
     def order_chain(self, spe: SPE, chain: Sequence[Event]) -> List[Event]:
         """Cost-order an explicit chain of condition events."""
         chain = list(chain)
+        if self.mode != "all":
+            return chain
         reordered = chain_order(spe, chain)
         if reordered is None:
             return chain
-        digest = chain_digest([event_digest(event) for event in chain])
-        if self._admit("chain_order", digest, reordered):
-            return reordered
-        return chain
+        self._applied(
+            "chain_order", chain_digest([event_digest(event) for event in chain])
+        )
+        return reordered
 
     def dedup_batch(self, events: Sequence[Event]):
-        """Unique-ify a batch by event digest (exact pass; always admitted).
+        """Unique-ify a batch by event identity (exact in every mode).
+
+        Slots holding the same :class:`~repro.events.Event` object —
+        repeated query text resolves to one cached object — are
+        evaluated once.  Events are compared by identity, never by
+        digest or ``repr``, so two slots share an answer only when they
+        would run the identical computation.
 
         Returns ``(unique_events, back_refs)`` where ``back_refs[i]`` is
         the index into ``unique_events`` answering batch slot ``i``.
@@ -283,13 +182,12 @@ class QueryPlanner:
         """
         unique: List[Event] = []
         back_refs: List[int] = []
-        first_by_digest: Dict[str, int] = {}
+        first_by_id: Dict[int, int] = {}
         for event in events:
-            digest = event_digest(event)
-            index = first_by_digest.get(digest)
+            index = first_by_id.get(id(event))
             if index is None:
                 index = len(unique)
-                first_by_digest[digest] = index
+                first_by_id[id(event)] = index
                 unique.append(event)
             back_refs.append(index)
         duplicates = len(events) - len(unique)

@@ -204,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="validated",
         choices=["off", "validated", "all"],
         help="query-planner mode for every served model (default "
-        "'validated': only corpus-proven bit-identical rewrites apply; "
-        "'off' restores unplanned evaluation; 'all' applies every "
-        "exact-math rewrite)",
+        "'validated': only exact batch deduplication, answers bit-identical "
+        "to 'off'; 'off' disables the planner; 'all' also applies every "
+        "structural rewrite, answers may move by an ulp)",
     )
     return parser
 

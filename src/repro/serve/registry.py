@@ -136,11 +136,11 @@ class ModelRegistry:
                 "plan must be one of %s; got %r." % (", ".join(PLAN_MODES), plan)
             )
         #: Query-planner mode every registered model is wrapped with.  The
-        #: serving default is ``"validated"``: only corpus-proven
-        #: bit-identical rewrites apply, so a planned service answers bit
-        #: for bit what an unplanned one would.  ``"off"`` restores the
-        #: pre-planner behavior; ``"all"`` applies every exact-math
-        #: rewrite (benchmarking).
+        #: serving default is ``"validated"``: only exact-by-construction
+        #: batch deduplication applies, so a planned service answers bit
+        #: for bit what an unplanned one would, however requests are
+        #: spelled or ordered.  ``"off"`` disables the planner; ``"all"``
+        #: applies every structural rewrite (answers may move by an ulp).
         self.plan = plan
         #: When set, every prepared model is compiled into a
         #: content-addressed ``.spz`` blob (``<digest>.spz``) under this

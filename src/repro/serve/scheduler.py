@@ -96,41 +96,6 @@ class ResultCache:
                 return None  # malformed assignment: let evaluation report it
         return None  # sample, observe (and unknown kinds) are never cached
 
-    @staticmethod
-    def digest_key(
-        model: SpplModel, kind: str, condition: Optional[str], payload
-    ) -> Optional[tuple]:
-        """The cache key, canonicalized by event digest when the model plans.
-
-        With planning enabled, event texts (the query event and the
-        condition) are replaced by their normalized
-        :func:`~repro.events.event_digest`, so textual variants of one
-        predicate (``"X < 3 and Y > 1"`` vs ``"Y > 1 and X < 3"``) share
-        a single cache entry.  Unparseable texts keep their raw-text key
-        (evaluation will report the error); with planning off this is
-        exactly :meth:`key`.
-        """
-        key = ResultCache.key(kind, condition, payload)
-        if key is None or getattr(model, "plan_mode", "off") == "off":
-            return key
-        parts = list(key)
-        if isinstance(condition, tuple):
-            # A chain canonicalizes step-wise: successive conditions do
-            # not commute with each other textually, but each step's
-            # spelling does.
-            digests = tuple(model.resolve_key(step) for step in condition)
-            if all(digest is not None for digest in digests):
-                parts[1] = ("digest-chain", digests)
-        elif condition is not None:
-            digest = model.resolve_key(condition)
-            if digest is not None:
-                parts[1] = ("digest", digest)
-        if kind in ("logprob", "prob") and isinstance(payload, str):
-            digest = model.resolve_key(payload)
-            if digest is not None:
-                parts[2] = ("digest", digest)
-        return tuple(parts)
-
     def get(self, key: tuple) -> Optional[Result]:
         with self._lock:
             result = self._data.get(key)
@@ -180,9 +145,9 @@ def evaluate_batch(
     With a :class:`ResultCache`, previously answered (deterministic)
     queries are filled from it and only the misses reach the engine;
     successful fresh results are written back.  Misses sharing one cache
-    key (duplicate — or, with planning, digest-equivalent — requests
-    coalesced into the same batch) are hoisted: one representative per
-    key reaches the engine and its result fans out to every slot.
+    key (duplicate requests coalesced into the same batch) are hoisted:
+    one representative per key reaches the engine and its result fans
+    out to every slot.
 
     A failing ``condition`` fails the whole batch (all its requests share
     the condition); a failing individual event falls back to per-item
@@ -207,10 +172,7 @@ def _evaluate_batch_cached(
 ) -> List[Result]:
     if result_cache is None:
         return _evaluate_uncached(model, kind, condition, payloads)
-    keys = [
-        ResultCache.digest_key(model, kind, condition, payload)
-        for payload in payloads
-    ]
+    keys = [ResultCache.key(kind, condition, payload) for payload in payloads]
     results: List[Optional[Result]] = [
         result_cache.get(key) if key is not None else None for key in keys
     ]

@@ -1,10 +1,10 @@
-"""The query planner: passes, the corpus gate, and engine/serve routing.
+"""The query planner: passes, plan modes, and engine/serve routing.
 
-Covers the planner's promise end to end: rewrites preserve answers (bit
-for bit in ``"validated"`` mode), the corpus gate refuses unknown or
-drifted rewrites, digest-keyed caches collapse textual variants of one
-predicate onto a single entry, and ragged ``logpdf_batch`` rows reach the
-compiled kernel per scope-signature group.
+Covers the planner's promise end to end: ``"validated"`` answers are bit
+for bit the unplanned answers however queries are spelled, ordered or
+repeated, ``"all"`` rewrites preserve answers, and ragged
+``logpdf_batch`` rows reach the compiled kernel per scope-signature
+group.
 """
 
 import math
@@ -16,17 +16,68 @@ from repro.compiler import compile_sppl
 from repro.engine import SpplModel
 from repro.engine import parse_event
 from repro.events import event_digest
-from repro.plan import PlanCorpus
 from repro.plan import QueryPlanner
 from repro.plan import chain_order
 from repro.plan import condition_pushdown
-from repro.plan import default_corpus
 from repro.plan import disjoint_factor
 from repro.plan import fuse_union
 from repro.plan import normalize_pass
-from repro.plan import structural_digest
-from repro.plan.validate import INDEPENDENT_SOURCE
+from repro.workloads import hmm
 from repro.workloads import table1_models
+
+#: Synthetic product-root program: independent blocks of different sizes,
+#: so condition chains have genuinely different per-step costs (the
+#: mixture block is more expensive to traverse than the plain leaves).
+INDEPENDENT_SOURCE = """
+W ~ choice({'a': 0.4, 'b': 0.6})
+if W == 'a':
+    X ~ normal(0, 1)
+else:
+    X ~ normal(3, 1)
+Y ~ normal(0, 1)
+Z ~ normal(1, 2)
+U ~ uniform(0, 4)
+M ~ choice({'lo': 0.3, 'mid': 0.4, 'hi': 0.3})
+"""
+
+#: Two spellings of one predicate whose unplanned answers differ in the
+#: last bit (the disjunction's clause order reaches ``log_add``).
+HEART_PAIR = (
+    "cholesterol < 170.0 or fatigue == 1",
+    "fatigue == 1 or cholesterol < 170.0",
+)
+
+#: Per served model: batches mixing duplicate texts with reordered
+#: spellings; each ``or`` pair's unplanned answers differ in the last bit.
+SPELLING_BATCHES = {
+    "noisy_or": [
+        "disease_0 == 1 or symptom_0 == 1",
+        "symptom_0 == 1 or disease_0 == 1",
+        "disease_0 == 1 or symptom_0 == 1",
+        "disease_1 == 1 and disease_0 == 1",
+        "disease_0 == 1 and disease_1 == 1",
+        "symptom_1 == 1 or disease_1 == 1",
+        "symptom_0 == 1 or disease_0 == 1",
+    ],
+    "heart_disease": [
+        HEART_PAIR[1],
+        HEART_PAIR[0],
+        HEART_PAIR[1],
+        "heart_disease == 1 or chest_pain == 1",
+        "chest_pain == 1 or heart_disease == 1",
+        "fatigue == 1 and cholesterol < 170.0",
+        HEART_PAIR[0],
+    ],
+    "hmm20": [
+        "Z[0] == 1 or Z[3] == 0",
+        "Z[3] == 0 or Z[0] == 1",
+        "X[1] > 1.5 or Y[2] == 3",
+        "Y[2] == 3 or X[1] > 1.5",
+        "Z[0] == 1 or Z[3] == 0",
+        "Z[5] == 1 and X[1] > 1.5",
+        "Y[2] == 3 or X[1] > 1.5",
+    ],
+}
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +88,20 @@ def independent_spe():
 @pytest.fixture(scope="module")
 def noisy_or_spe():
     return compile_command(table1_models.noisy_or())
+
+
+@pytest.fixture(scope="module")
+def heart_disease_spe():
+    return compile_command(table1_models.heart_disease())
+
+
+@pytest.fixture(scope="module")
+def served_spes(noisy_or_spe, heart_disease_spe):
+    return {
+        "noisy_or": noisy_or_spe,
+        "heart_disease": heart_disease_spe,
+        "hmm20": hmm.model(20).spe,
+    }
 
 
 class TestPasses:
@@ -112,59 +177,14 @@ class TestPasses:
         assert planned == baseline
 
 
-class TestCorpusGate:
-    def test_validated_mode_requires_a_corpus_pair(self, independent_spe):
-        planner = QueryPlanner("validated", corpus=PlanCorpus())  # empty
-        event = parse_event("X < 1 and Y > 0", independent_spe.scope)
-        plan = planner.plan_logprob(independent_spe, event)
-        assert plan == ("event", event)  # nothing admitted, query as written
-        stats = planner.stats()
-        assert stats["passes"]["disjoint_factor"]["fallback"] == 1
-        assert "applied" not in stats["passes"]["disjoint_factor"]
-
-    def test_validated_mode_admits_a_matching_pair(self, independent_spe):
-        event = parse_event("X < 1 and Y > 0", independent_spe.scope)
-        groups = disjoint_factor(independent_spe, event)
-        corpus = PlanCorpus([{
-            "pass": "disjoint_factor",
-            "original_digest": event_digest(event),
-            "rewritten_digest": structural_digest(groups),
-        }])
-        planner = QueryPlanner("validated", corpus=corpus)
-        kind, payload = planner.plan_logprob(independent_spe, event)
-        assert kind == "sum" and len(payload) == 2
-        assert planner.stats()["passes"]["disjoint_factor"]["applied"] == 1
-
-    def test_drifted_output_shape_is_refused(self, independent_spe):
-        event = parse_event("X < 1 and Y > 0", independent_spe.scope)
-        corpus = PlanCorpus([{
-            "pass": "disjoint_factor",
-            "original_digest": event_digest(event),
-            "rewritten_digest": "0000000000000000",  # not what the pass makes
-        }])
-        planner = QueryPlanner("validated", corpus=corpus)
-        assert planner.plan_logprob(independent_spe, event) == ("event", event)
-
-    def test_all_mode_skips_the_corpus(self, independent_spe):
-        planner = QueryPlanner("all", corpus=PlanCorpus())
-        event = parse_event("X < 1 and Y > 0", independent_spe.scope)
-        kind, _ = planner.plan_logprob(independent_spe, event)
-        assert kind == "sum"
-
+class TestPlannerModes:
     def test_dedup_batch_is_always_exact(self):
-        planner = QueryPlanner("validated", corpus=PlanCorpus())
+        planner = QueryPlanner("validated")
         a = parse_event("X < 1", {"X"})
-        b = parse_event("X  <  1", {"X"})  # same digest, different text
+        b = parse_event("X  <  1", {"X"})  # equal digest, another object
         unique, back_refs = planner.dedup_batch([a, b, a])
-        assert len(unique) == 1 and back_refs == [0, 0, 0]
-        assert planner.stats()["passes"]["dedup_batch"]["hits"] == 2
-
-    def test_committed_corpus_loads_and_spans_pass_classes(self):
-        corpus = default_corpus()
-        assert len(corpus) >= 40
-        classes = {pair["pass"] for pair in corpus.pairs}
-        assert len(classes) >= 4
-        assert all(pair["bit_identical"] for pair in corpus.pairs)
+        assert unique == [a, b] and back_refs == [0, 1, 0]
+        assert planner.stats()["passes"]["dedup_batch"]["hits"] == 1
 
     def test_planner_rejects_off_and_unknown_modes(self):
         with pytest.raises(ValueError):
@@ -174,20 +194,47 @@ class TestCorpusGate:
 
 
 class TestEngineRouting:
-    def test_validated_queries_bit_identical_to_unplanned(self, independent_spe):
-        plain = SpplModel(independent_spe, cache=False)
-        planned = SpplModel(independent_spe, cache=False, plan="validated")
-        queries = [
+    def test_validated_queries_bit_identical_to_unplanned(
+        self, independent_spe, served_spes
+    ):
+        """Every spelling, repeat and arrival order answers what a fresh
+        unplanned model answers for that text, bit for bit, on the
+        interpreted and the compiled-kernel route."""
+        spes = dict(served_spes, independent=independent_spe)
+        batches = dict(SPELLING_BATCHES, independent=[
             "X < 1 and Y > 0",
             "Y > 0 and Z < 2 and U < 3",
             "X < -1 or X > 1",
             "X < 2 and X < 1",
             "W == 'a' and Y < 1",
-        ]
-        for query in queries:
-            assert planned.logprob(query) == plain.logprob(query)
-            assert planned.prob(query) == plain.prob(query)
-        assert planned.logprob_batch(queries) == plain.logprob_batch(queries)
+            "Y > 0 and X < 1",
+            "X < 1 and Y > 0",
+        ])
+        for name, batch in batches.items():
+            spe = spes[name]
+            want = {}
+            for query in batch:
+                plain = SpplModel(spe, cache=False)
+                want[query] = (repr(plain.logprob(query)), repr(plain.prob(query)))
+            for order in (batch, batch[::-1]):
+                expected = [want[query][0] for query in order]
+                planned = SpplModel(spe, plan="validated")
+                for query in order:
+                    assert (
+                        repr(planned.logprob(query)), repr(planned.prob(query))
+                    ) == want[query], (name, query)
+                batched = SpplModel(spe, plan="validated")
+                assert [repr(v) for v in batched.logprob_batch(order)] == expected
+                batched.compile()
+                try:
+                    assert [
+                        repr(v) for v in batched.logprob_batch(order)
+                    ] == expected, name
+                finally:
+                    batched.detach_compiled()
+                # Duplicate removal is the only pass validated mode runs.
+                assert set(batched.plan_stats()["passes"]) <= {"dedup_batch"}
+                assert planned.plan_stats()["passes"] == {}
 
     def test_condition_chain_lands_on_identical_posterior(self, independent_spe):
         plain = SpplModel(independent_spe, cache=False)
@@ -197,21 +244,6 @@ class TestEngineRouting:
         assert a.spe is b.spe  # the identical interned node
         assert b.planner is planned.planner  # family shares one planner
         assert b.logprob("M == 'mid'") == a.logprob("M == 'mid'")
-
-    def test_event_digest_lru_collapses_textual_variants(self, independent_spe):
-        """Satellite regression: reordered/whitespace variants of one
-        predicate hit a single parsed-event cache entry under planning."""
-        planned = SpplModel(independent_spe, cache=False, plan="validated")
-        first = planned._resolve_event("X < 3 and Y > 1")
-        for variant in (
-            "Y > 1 and X < 3",
-            "X  <  3 and Y > 1",
-            "Y>1 and X<3",
-        ):
-            assert planned._resolve_event(variant) is first
-        stats = planned.cache_stats()
-        assert stats["event_digest_hits"] == 3
-        assert stats["event_digest_entries"] == 1
 
     def test_no_digest_canonicalization_without_planning(self, independent_spe):
         plain = SpplModel(independent_spe, cache=False)
@@ -236,16 +268,17 @@ class TestEngineRouting:
         finally:
             planned.detach_compiled()
 
-    def test_plan_off_rejects_corpus_argument(self, independent_spe):
-        with pytest.raises(ValueError):
-            SpplModel(independent_spe, plan="off", plan_corpus=PlanCorpus())
-
     def test_zero_probability_condition_still_raises(self, independent_spe):
         from repro.spe import ZeroProbabilityError
 
         planned = SpplModel(independent_spe, cache=False, plan="validated")
         with pytest.raises(ZeroProbabilityError):
             planned.condition("Y > 0 and Y < -1")
+
+    def test_prob_routes_through_logprob_when_planned(self, independent_spe):
+        planned = SpplModel(independent_spe, cache=False, plan="validated")
+        lp = planned.logprob("X < 1 and Y > 0")
+        assert planned.prob("X < 1 and Y > 0") == math.exp(lp)
 
 
 class TestRaggedLogpdfBatch:
@@ -283,26 +316,32 @@ class TestRaggedLogpdfBatch:
             model.detach_compiled()
 
 
-class TestServeDigestCache:
-    def test_result_cache_hits_across_textual_variants(self, noisy_or_spe):
-        """Satellite regression: the serve ResultCache keys by event
-        digest, so ``X < 3 and Y > 1`` and ``Y > 1 and X < 3`` share one
-        entry."""
+class TestServeResultCache:
+    def test_answers_independent_of_spelling_order(self, heart_disease_spe):
+        """Regression: a spelling must not resolve to whichever
+        equivalent spelling arrived first.  Both orders of the pair, on
+        the model and through the scheduler's ResultCache, answer what a
+        fresh unplanned model answers for each text."""
         from repro.serve.scheduler import ResultCache
         from repro.serve.scheduler import evaluate_batch
 
-        model = SpplModel(noisy_or_spe, plan="validated")
-        cache = ResultCache()
-        first = evaluate_batch(
-            model, "logprob", None,
-            ["disease_0 == 1 and disease_1 == 1"], cache,
-        )
-        second = evaluate_batch(
-            model, "logprob", None,
-            ["disease_1 == 1  and  disease_0 == 1"], cache,
-        )
-        assert first == second
-        assert cache.hits == 1 and cache.misses == 1
+        want = {
+            text: repr(SpplModel(heart_disease_spe, plan="off").logprob(text))
+            for text in HEART_PAIR
+        }
+        assert want[HEART_PAIR[0]] != want[HEART_PAIR[1]]
+        for order in (HEART_PAIR, HEART_PAIR[::-1]):
+            model = SpplModel(heart_disease_spe, plan="validated")
+            for text in order:
+                assert repr(model.logprob(text)) == want[text]
+            model = SpplModel(heart_disease_spe, plan="validated")
+            cache = ResultCache()
+            for text in order:
+                ((status, value),) = evaluate_batch(
+                    model, "logprob", None, [text], cache
+                )
+                assert status == "ok" and repr(value) == want[text]
+            assert cache.hits == 0 and cache.misses == 2
 
     def test_duplicate_misses_evaluate_once(self, noisy_or_spe):
         from repro.serve.scheduler import ResultCache
@@ -323,16 +362,8 @@ class TestServeDigestCache:
             ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"], cache,
         )
         assert results[0] == results[1] == results[2]
-        assert calls == [1]  # one representative reached the engine
-
-    def test_raw_text_keys_without_planning(self, noisy_or_spe):
-        from repro.serve.scheduler import ResultCache
-
-        model = SpplModel(noisy_or_spe)  # plan off
-        key_a = ResultCache.digest_key(model, "logprob", None, "disease_0 == 1")
-        key_b = ResultCache.digest_key(model, "logprob", None, "disease_0  == 1")
-        assert key_a != key_b
-        assert key_a == ResultCache.key("logprob", None, "disease_0 == 1")
+        # One representative per distinct text reached the engine.
+        assert calls == [2]
 
     def test_registry_default_plans_and_reports(self):
         from repro.serve import ModelRegistry
@@ -351,23 +382,3 @@ class TestServeDigestCache:
         registered = registry.register_catalog("noisy_or")
         assert registered.model.plan_mode == "off"
         assert "plan" not in registered.model.cache_stats()
-
-
-class TestValidateHarness:
-    def test_rejected_rewrites_never_enter_the_corpus(self):
-        """The gate actually filters: the committed corpus must not claim
-        any pair whose answers differ today (spot-check one pair per
-        pass class, interpreted path)."""
-        from repro.plan.validate import build_corpus
-
-        corpus = build_corpus(repetitions=1)
-        assert corpus["summary"]["validated"] >= 40
-        assert corpus["summary"]["rejected"] >= 1
-        assert set(corpus["summary"]["by_pass"]) >= {
-            "normalize", "fuse_union", "disjoint_factor", "condition_pushdown",
-        }
-
-    def test_prob_routes_through_logprob_when_planned(self, independent_spe):
-        planned = SpplModel(independent_spe, cache=False, plan="validated")
-        lp = planned.logprob("X < 1 and Y > 0")
-        assert planned.prob("X < 1 and Y > 0") == math.exp(lp)

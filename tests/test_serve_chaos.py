@@ -283,23 +283,22 @@ def mixed_requests():
 
 class TestPlannedRespawn:
     def test_respawned_shard_plans_and_stays_bit_identical(self):
-        """A SIGKILLed shard serving with plan='validated' respawns, still
-        plans (its spec carries the mode), and answers a corpus-validated
-        factorable query bit-identically to an unplanned local model."""
+        """A SIGKILLed shard serving with plan='all' respawns, still
+        plans (its spec carries the mode), and answers a factorable query
+        bit-identically to an unplanned local model."""
         from repro.compiler import compile_command
         from repro.engine import SpplModel
         from repro.serve import wire
         from repro.workloads import table1_models
 
-        registry = ModelRegistry(plan="validated")
+        registry = ModelRegistry(plan="all")
         registered = registry.register_catalog("noisy_or")
         spec = wire.model_spec(registered)
-        assert spec["plan"] == "validated"
+        assert spec["plan"] == "all"
         pool = WorkerPool(1)
         pool.start({"noisy_or": spec})
-        # A conjunction over both root-product children: the validated
-        # corpus holds its disjoint_factor pair, so the planned worker
-        # actually rewrites it.
+        # A conjunction over both root-product children, so the planned
+        # worker actually rewrites it with disjoint_factor.
         event = "disease_0 == 1 and disease_1 == 1"
 
         async def main():
@@ -326,7 +325,7 @@ class TestPlannedRespawn:
         assert pool.respawns == 1
         assert pool.worker_pids()[0] != victim
         plan_stats = stats[0]["noisy_or"]["plan"]
-        assert plan_stats["mode"] == "validated"
+        assert plan_stats["mode"] == "all"
         assert plan_stats["passes"]["disjoint_factor"]["applied"] >= 1
 
 

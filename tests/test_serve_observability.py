@@ -111,7 +111,7 @@ class TestTraceEndToEnd:
 
         async def main():
             registry = ModelRegistry(blob_dir=tmp_path / "blobs",
-                                     plan="validated")
+                                     plan="all")
             registry.register_catalog("noisy_or")
             service, client = await _serve(registry, workers=2, window=0.001)
             try:
@@ -135,9 +135,9 @@ class TestTraceEndToEnd:
         assert dispatch["tags"]["shard"] in (0, 1)
         (worker,) = find(tree, "worker.batch")
         assert worker["tags"]["worker"] == dispatch["tags"]["shard"]
-        # Planner pass outcome: the corpus-validated disjoint_factor
-        # rewrite applies to this conjunction, and its decision is an
-        # event on the trace keyed by the input digest.
+        # Planner pass outcome: plan="all" applies the disjoint_factor
+        # rewrite to this conjunction, and its decision is an event on
+        # the trace keyed by the input digest.
         (plan,) = find(tree, "plan.disjoint_factor")
         assert plan["tags"]["outcome"] == "applied"
         assert len(plan["tags"]["digest"]) == 12
