@@ -377,10 +377,28 @@ class WorkerPool:
         has already counted the respawn (:meth:`_note_respawn`).
         """
         specs = {name: dict(spec) for name, spec in self._specs.items()}
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._executor, worker.transport.restart, specs, self._start_timeout
+        await self._run_uncancelled(
+            worker.transport.restart, specs, self._start_timeout
         )
+
+    async def _run_uncancelled(self, fn, *args):
+        """Run a blocking transport call on the executor to completion.
+
+        An executor thread cannot be cancelled.  If the awaiting task is
+        (e.g. :meth:`close` stopping the probe loop mid-respawn), keep
+        the caller inside its shard lock until the thread is done, then
+        re-raise: releasing the lock early would let the next holder
+        read a connection that thread is still closing or replacing.
+        """
+        future = asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
+        )
+        try:
+            return await asyncio.shield(future)
+        except asyncio.CancelledError:
+            with contextlib.suppress(Exception):
+                await future
+            raise
 
     async def _call(self, shard: int, message: tuple):
         """One request/response round trip with a shard (serialized per shard).
@@ -544,7 +562,6 @@ class WorkerPool:
     async def probe_once(self) -> None:
         """One probe sweep over every idle shard (busy shards skip:
         their in-flight traffic is already the liveness signal)."""
-        loop = asyncio.get_running_loop()
         for shard, worker in enumerate(self._workers):
             if self._closing:
                 return
@@ -557,8 +574,8 @@ class WorkerPool:
                 alive = False
                 if not was_dead:
                     try:
-                        alive = await loop.run_in_executor(
-                            self._executor, worker.transport.probe
+                        alive = await self._run_uncancelled(
+                            worker.transport.probe
                         )
                     except (OSError, EOFError):
                         alive = False

@@ -13,6 +13,7 @@ import pytest
 
 from repro.compiler import compile_command
 from repro.compiler import compile_sppl
+from repro.engine import PosteriorChain
 from repro.engine import SpplModel
 from repro.engine import parse_event
 from repro.events import event_digest
@@ -192,6 +193,51 @@ class TestPlannerModes:
         with pytest.raises(ValueError):
             QueryPlanner("sometimes")
 
+    def test_validated_mode_computes_no_rewrites_or_digests(
+        self, independent_spe, monkeypatch
+    ):
+        """Validated planning never calls a structural pass or the
+        digest: the planner module's pass and digest entry points are
+        replaced by tripwires and every query route still answers."""
+        from repro.plan import planner as planner_module
+
+        def tripwire(*args, **kwargs):
+            raise AssertionError("validated mode reached a rewrite/digest")
+
+        for name in ("chain_order", "condition_pushdown", "disjoint_factor",
+                     "fuse_union", "normalize_pass", "event_digest",
+                     "chain_digest"):
+            monkeypatch.setattr(planner_module, name, tripwire)
+        plain = SpplModel(independent_spe, cache=False)
+        planned = SpplModel(independent_spe, cache=False, plan="validated")
+        text = "X < 1 and Y > 0 and Z < 2"
+        assert planned.logprob(text) == plain.logprob(text)
+        assert planned.prob(text) == plain.prob(text)
+        assert planned.logprob_batch([text, "U < 3", text]) == (
+            plain.logprob_batch([text, "U < 3", text])
+        )
+        posterior = planned.condition(text)
+        assert posterior.logprob("M == 'hi'") == (
+            plain.condition(text).logprob("M == 'hi'")
+        )
+
+    def test_all_mode_still_applies_structural_passes(self, independent_spe):
+        plain = SpplModel(independent_spe, cache=False)
+        planned = SpplModel(independent_spe, cache=False, plan="all")
+        text = "X < 1 and Y > 0 and Z < 2"
+        assert math.isclose(
+            planned.logprob(text), plain.logprob(text), rel_tol=1e-12
+        )
+        posterior = planned.condition(text)
+        assert math.isclose(
+            posterior.logprob("M == 'hi'"),
+            plain.condition(text).logprob("M == 'hi'"),
+            rel_tol=1e-12,
+        )
+        passes = planned.plan_stats()["passes"]
+        assert passes["disjoint_factor"]["applied"] >= 1
+        assert passes["condition_pushdown"]["applied"] >= 1
+
 
 class TestEngineRouting:
     def test_validated_queries_bit_identical_to_unplanned(
@@ -267,6 +313,31 @@ class TestEngineRouting:
             assert planned.logprob_batch(queries) == expected
         finally:
             planned.detach_compiled()
+
+    def test_repeated_text_is_evaluated_once_per_batch(self, independent_spe):
+        planned = SpplModel(independent_spe, plan="validated")
+        first = planned._resolve_event("X < 1 and Y > 0")
+        assert planned._resolve_event("X < 1 and Y > 0") is first
+        batch = ["X < 1 and Y > 0", "U < 3", "X < 1 and Y > 0",
+                 "X < 1 and Y > 0", "U < 3"]
+        plain = SpplModel(independent_spe, cache=False)
+        assert [repr(v) for v in planned.logprob_batch(batch)] == [
+            repr(plain.logprob(text)) for text in batch
+        ]
+        dedup = planned.plan_stats()["passes"]["dedup_batch"]
+        assert dedup == {"applied": 1, "hits": 3}
+
+    def test_posterior_chain_bit_identical_to_unplanned(self, served_spes):
+        observes = ["Z[0] == 1", "X[1] > 0.5", "Y[2] == 3 or Z[3] == 0"]
+        queries = ["Z[5] == 1", "X[4] < 0.0 or Z[4] == 1"]
+        values = {}
+        for mode in ("off", "validated"):
+            model = SpplModel(served_spes["hmm20"], plan=mode)
+            with PosteriorChain(model, observes) as chain:
+                values[mode] = [
+                    repr(chain.current.logprob(query)) for query in queries
+                ]
+        assert values["validated"] == values["off"]
 
     def test_zero_probability_condition_still_raises(self, independent_spe):
         from repro.spe import ZeroProbabilityError
@@ -364,6 +435,63 @@ class TestServeResultCache:
         assert results[0] == results[1] == results[2]
         # One representative per distinct text reached the engine.
         assert calls == [2]
+
+    def test_each_spelling_is_its_own_entry(self, noisy_or_spe):
+        """Raw-text keys: a whitespace variant misses and is answered
+        for its own text; asking a text again is a hit."""
+        from repro.serve.scheduler import ResultCache
+        from repro.serve.scheduler import evaluate_batch
+
+        model = SpplModel(noisy_or_spe, plan="validated")
+        cache = ResultCache()
+        texts = ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"]
+        answers = [
+            evaluate_batch(model, "logprob", None, [text], cache)[0]
+            for text in texts
+        ]
+        plain = SpplModel(noisy_or_spe, plan="off")
+        assert [repr(value) for _, value in answers] == [
+            repr(plain.logprob(text)) for text in texts
+        ]
+        assert (cache.misses, cache.hits) == (2, 1)
+
+    @pytest.mark.parametrize("name", sorted(SPELLING_BATCHES))
+    def test_served_answers_bit_identical_to_unplanned(self, name):
+        """End to end through the HTTP service: a pipelined batch of
+        repeated and reordered spellings, answered by the registry's
+        default validated plan, equals a fresh unplanned model per text."""
+        import asyncio
+
+        from repro.serve import AsyncServeClient
+        from repro.serve import InferenceService
+        from repro.serve import ModelRegistry
+
+        registry = ModelRegistry()
+        registered = registry.register_catalog(name)
+        assert registered.plan == "validated"
+        batch = SPELLING_BATCHES[name]
+
+        async def main():
+            service = InferenceService(registry)
+            host, port = await service.start()
+            try:
+                return await AsyncServeClient(host, port).query_many(
+                    [
+                        {"id": i, "model": name, "kind": "logprob", "event": text}
+                        for i, text in enumerate(batch + batch[::-1])
+                    ],
+                    connections=2,
+                )
+            finally:
+                await service.close()
+
+        responses = asyncio.run(main())
+        plain = SpplModel(registered.model.spe, plan="off")
+        want = {text: repr(plain.logprob(text)) for text in batch}
+        for response in responses:
+            assert response["ok"], response
+            text = (batch + batch[::-1])[response["id"]]
+            assert repr(response["value"]) == want[text], (name, text)
 
     def test_registry_default_plans_and_reports(self):
         from repro.serve import ModelRegistry

@@ -25,6 +25,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -543,6 +544,80 @@ class TestProactiveProbe:
                 await pool.close()
 
         asyncio.run(main())
+
+    def _gate_restart(self, pool):
+        """Hold shard 0's next restart at a gate; returns (entered, release)."""
+        transport = pool._workers[0].transport
+        original = transport.restart
+        entered, release = threading.Event(), threading.Event()
+
+        def gated_restart(specs, timeout):
+            entered.set()
+            release.wait(30)
+            original(specs, timeout)
+
+        transport.restart = gated_restart
+        return entered, release
+
+    def test_cancelled_probe_keeps_the_shard_lock_until_restart_ends(self):
+        """Regression: cancelling a probe sweep mid-respawn must not
+        release the shard lock while the executor thread is still
+        swapping the shard's connection."""
+        registry = ModelRegistry()
+        pool = WorkerPool(1)
+        pool.start({"indian_gpa": _spec(registry.register_catalog("indian_gpa"))})
+        entered, release = self._gate_restart(pool)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            worker = pool._workers[0]
+            try:
+                os.kill(pool.worker_pids()[0], signal.SIGKILL)
+                worker.transport.process.join(5)
+                sweep = asyncio.ensure_future(pool.probe_once())
+                assert await loop.run_in_executor(None, entered.wait, 30)
+                sweep.cancel()
+                await asyncio.sleep(0.05)
+                assert worker.lock.locked()
+                release.set()
+                with pytest.raises(asyncio.CancelledError):
+                    await sweep
+                assert not worker.lock.locked()
+                (result,) = await pool.run_batch(
+                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                )
+                assert result == ("ok", indian_gpa.model().logprob("GPA > 3"))
+            finally:
+                release.set()
+                await pool.close()
+
+        asyncio.run(main())
+
+    def test_close_during_a_probe_respawn_shuts_down_cleanly(self):
+        """``close`` stops the probe loop while it is respawning a dead
+        worker: the stop message goes to the restarted worker only after
+        the restart finished, and every process is gone afterwards."""
+        registry = ModelRegistry()
+        pool = WorkerPool(1, probe_interval_ms=10)
+        pool.start({"indian_gpa": _spec(registry.register_catalog("indian_gpa"))})
+        entered, release = self._gate_restart(pool)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            pool._workers[0].transport.process.join(5)
+            pool.start_probing()
+            try:
+                assert await loop.run_in_executor(None, entered.wait, 30)
+                loop.call_later(0.05, release.set)
+            finally:
+                await pool.close()
+
+        asyncio.run(main())
+        assert pool.respawns == 0  # the cancelled sweep counted nothing
+        # Exit code 0: the restarted worker got the stop message and
+        # exited on its own instead of being terminated as a straggler.
+        assert pool._workers[0].transport.process.exitcode == 0
 
     def test_probe_failures_surface_on_metrics_exposition(self):
         async def main():
