@@ -399,19 +399,18 @@ def bench_serve_throughput() -> dict:
     the real HTTP wire path:
 
     * **concurrent** -- all 256 in flight at once over 32 pipelined
-      connections; the scheduler coalesces them into a few
-      ``logprob_batch`` calls (best of 3 passes),
-    * **sequential** -- one at a time through the default path; each lone
-      request is evaluated in a batch of one after its coalescing window
-      elapses (the latency cost micro-batching imposes on unbatched
-      callers),
-    * **sequential no_batch** -- one at a time with the window bypassed,
-      isolating pure wire overhead from the batching trade-off.
+      connections (best of 3 passes),
+    * **sequential** -- one at a time through the default path,
+    * **sequential no_batch** -- one at a time with the window bypassed.
 
-    Caches are warmed with one untimed pass first, so the probe measures
-    the serving layer (wire, scheduling, coalescing), not first-touch
-    symbolic inference.  ``speedup`` is sequential/concurrent;
-    ``coalesced_qps`` is the concurrent throughput.
+    One untimed concurrent pass first computes every answer (coalesced
+    into a few ``logprob_batch`` calls; ``mean_batch_size`` reports it).
+    Every timed request repeats a warmed query, so the scheduler's
+    result cache answers it at submit: the sequential passes are cache
+    hits, not batches of one waiting out the coalescing window, and all
+    three passes time the wire and the front end, not inference.
+    ``speedup`` is sequential/concurrent; ``coalesced_qps`` is the
+    concurrent throughput.
     """
     import asyncio
 
@@ -679,10 +678,12 @@ def bench_node_transport() -> dict:
     the pre-multi-node configuration) and once behind
     :class:`~repro.serve.transport.TcpTransport` talking to a real
     ``python -m repro.serve.node`` subprocess on localhost -- and replays
-    256 single-event ``logprob`` calls through ``pool.run_batch`` on each.
-    A full untimed warm pass populates the shard's result cache first, so
-    the timed pass measures the channel (framing, syscalls, supervision
-    bookkeeping), not symbolic inference.
+    256 one-event batches through ``pool.run_batch`` on each, after one
+    untimed warm pass.  Each batch carries a ``logprob`` probe's event
+    text as an unconditioned ``observe``, which the shard acknowledges
+    without running inference, so the timed pass measures the channel
+    (framing, syscalls, supervision bookkeeping, the shard's batch
+    handler), not symbolic inference.
 
     ``tcp_over_pipe`` is the relative cost of crossing a socket instead
     of a pipe; the regression gate budgets the **pipe** pass -- the
@@ -706,17 +707,17 @@ def bench_node_transport() -> dict:
     def measure(pool) -> tuple:
         async def run():
             try:
-                for event in events:  # warm the shard's result cache
-                    await pool.run_batch(0, "indian_gpa", "logprob", None, [event])
+                for event in events:  # warm the channel
+                    await pool.run_batch(0, "indian_gpa", "observe", None, [event])
                 times = []
                 start_all = time.perf_counter()
                 for event in events:
                     start = time.perf_counter()
                     (row,) = await pool.run_batch(
-                        0, "indian_gpa", "logprob", None, [event]
+                        0, "indian_gpa", "observe", None, [event]
                     )
                     times.append(time.perf_counter() - start)
-                    assert row[0] == "ok"
+                    assert row == ("ok", True)
                 return time.perf_counter() - start_all, times
             finally:
                 await pool.close()

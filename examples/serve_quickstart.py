@@ -176,12 +176,12 @@ async def main() -> None:
             )
             print("  logprob(%s) = %r" % (spelling, value_of(response)))
         stats = await client.stats()
-        noisy_or_stats = stats["backend"]["models"]["noisy_or"]
-        plan = noisy_or_stats["plan"]
+        plan = stats["backend"]["models"]["noisy_or"]["plan"]
         print("noisy_or planner: mode=%s passes=%s" % (plan["mode"], plan["passes"]))
+        results = stats["scheduler"]["result_cache"]["noisy_or"]
         print(
             "noisy_or result cache: %d hit / %d miss"
-            % (noisy_or_stats["results"]["hits"], noisy_or_stats["results"]["misses"])
+            % (results["hits"], results["misses"])
         )
 
         # -- 6. Dynamic model lifecycle: register on the live service --------

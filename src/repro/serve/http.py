@@ -14,12 +14,12 @@ third-party web framework) exposing:
   after all shards ack the round-trip digest; unregistration rejects new
   queries immediately but drains in-flight ones before teardown.
 * ``GET /v1/stats``   -- scheduler coalescing/shed counters, per-kind
-  latency percentiles (p50/p95/p99 from log-bucketed histograms), plus
-  per-model (or per-shard) exact cache hit/miss/eviction statistics and
-  eviction pressure.
-* ``POST /v1/clear_cache`` -- drop cached traversal results everywhere
-  (all shards, result caches, and parsed-event LRUs); used by benchmarks
-  to measure cold-cache behavior.
+  latency percentiles (p50/p95/p99 from log-bucketed histograms), the
+  front end's per-model result caches, plus per-model (or per-shard)
+  exact query-cache hit/miss/eviction statistics and eviction pressure.
+* ``POST /v1/clear_cache`` -- drop cached results everywhere (the front
+  end's result caches, and every shard's query caches and parsed-event
+  LRUs); used by benchmarks to measure cold-cache behavior.
 * ``GET /healthz``    -- liveness.
 * ``POST /v1/sessions`` / ``GET /v1/sessions`` /
   ``POST /v1/sessions/<name>/observe`` /
@@ -572,6 +572,7 @@ class InferenceService:
             if path == "/v1/clear_cache":
                 if method != "POST":
                     return _json_response(405, {"error": "POST required."})
+                self.scheduler.reset_result_cache()
                 await self.backend.clear_caches()
                 if self._pool is not None:
                     # Sharded mode: the registry's live copies are not on
@@ -976,6 +977,7 @@ class InferenceService:
                     500, {"error": "Worker handshake failed: %s: %s"
                           % (type(error).__name__, error)}
                 )
+            self.scheduler.reset_result_cache(name)
             self.registry.publish(registered)
             if self.journal is not None:
                 try:
@@ -1026,6 +1028,7 @@ class InferenceService:
                 self.registry.unregister(name)
             except RegistryError as error:
                 return _json_response(404, {"error": str(error)})
+            self.scheduler.drop_result_cache(name)
             loop = asyncio.get_running_loop()
             if self.journal is not None:
                 # The registry removal is the durable-intent point:
@@ -1093,11 +1096,18 @@ class InferenceService:
 
         Registry-owned instruments render directly; per-model cache
         counters, per-pass planner outcomes, and journal statistics live
-        in their owners (or in worker shards, reached over the pipe) and
-        are gathered here as labeled scrape-time samples.
+        in their owners (the scheduler's result caches, or worker shards
+        reached over the pipe) and are gathered here as labeled
+        scrape-time samples.
         """
         counters: List[obs.metrics.Sample] = []
         gauges: List[obs.metrics.Sample] = []
+        for name, cache_stats in self.scheduler.stats()["result_cache"].items():
+            for key in ("hits", "misses"):
+                counters.append(
+                    ("repro.result_cache." + key, {"model": name},
+                     cache_stats[key])
+                )
         backend = await self.backend.stats()
         per_model = backend.get("models")
         if per_model is not None:
@@ -1130,13 +1140,7 @@ class InferenceService:
     @staticmethod
     def _model_samples(labels: Dict[str, str], model_stats: Dict,
                        counters: List, gauges: List) -> None:
-        """Labeled samples for one model's cache / planner statistics."""
-        results = model_stats.get("results", {})
-        for key in ("hits", "misses"):
-            if key in results:
-                counters.append(
-                    ("repro.result_cache." + key, labels, results[key])
-                )
+        """Labeled samples for one model's query-cache / planner statistics."""
         for key in ("hits", "misses", "evictions"):
             if key in model_stats:
                 counters.append(

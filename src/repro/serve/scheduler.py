@@ -14,6 +14,12 @@ evict entries mid-batch.  A group flushes when either
 * a request carries ``no_batch`` (it forms an immediate batch of one --
   the "sequential unbatched" baseline path used by benchmarks).
 
+Ahead of all that sits one :class:`ResultCache` per model: a request
+whose ``(kind, condition, event)`` was answered before is replayed from
+it at submit, with no batch, window, backend call or transport, and each
+``"ok"`` answer a batch computes is written back into the cache its
+request was looked up in.
+
 The scheduler never blocks the event loop on inference: batches run on a
 backend (in-process thread executor, or a sharded worker pool), so
 request intake overlaps evaluation, which is where the coalescing
@@ -23,13 +29,13 @@ throughput win comes from.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 from typing import Dict
 from typing import List
 from typing import Optional
 from typing import Sequence
 
-import threading
 from collections import OrderedDict
 
 from .. import obs
@@ -71,16 +77,16 @@ class ResultCache:
     Exact inference is deterministic: the same (kind, condition, event
     text / assignment) against the same model always yields the same
     float, so completed responses can be replayed from a dict without
-    touching the engine at all.  Each serving process (and each worker
-    shard) owns one per model; ``sample`` queries are never cached.
-    Thread-safe -- evaluation runs on executor threads.
+    touching the engine at all.  The :class:`MicroBatcher` owns one per
+    model and consults it before routing, so a repeated query never
+    reaches coalescing, transport or a shard; ``sample`` and ``observe``
+    queries are never cached.  Lives on the event loop (no locking).
     """
 
-    __slots__ = ("_data", "_lock", "max_entries", "hits", "misses")
+    __slots__ = ("_data", "max_entries", "hits", "misses")
 
     def __init__(self, max_entries: int = DEFAULT_RESULT_ENTRIES):
         self._data: "OrderedDict[tuple, Result]" = OrderedDict()
-        self._lock = threading.Lock()
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -97,42 +103,32 @@ class ResultCache:
         return None  # sample, observe (and unknown kinds) are never cached
 
     def get(self, key: tuple) -> Optional[Result]:
-        with self._lock:
-            result = self._data.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return result
+        result = self._data.get(key)
+        if result is None:
+            self.misses += 1
+            return None
+        self._data.move_to_end(key)
+        self.hits += 1
+        return result
 
     def put(self, key: tuple, result: Result) -> None:
-        with self._lock:
-            self._data[key] = result
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
+        self._data[key] = result
+        self._data.move_to_end(key)
+        if len(self._data) > self.max_entries:
+            self._data.popitem(last=False)
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._data),
-                "hits": self.hits,
-                "misses": self.misses,
-                "max_entries": self.max_entries,
-            }
+        return {
+            "entries": len(self._data),
+            "hits": self.hits,
+            "misses": self.misses,
+            "max_entries": self.max_entries,
+        }
 
 
 def evaluate_batch(
     model: SpplModel, kind: str, condition: Optional[str], payloads: Sequence,
-    result_cache: Optional[ResultCache] = None,
-    tracer=None,
+    *, tracer=None,
 ) -> List[Result]:
     """Evaluate one coalesced batch against a model (pure, process-agnostic).
 
@@ -142,12 +138,9 @@ def evaluate_batch(
     inside one :meth:`~repro.engine.SpplModel.query_scope`, pinning every
     cache entry it touches against eviction until the batch completes.
 
-    With a :class:`ResultCache`, previously answered (deterministic)
-    queries are filled from it and only the misses reach the engine;
-    successful fresh results are written back.  Misses sharing one cache
-    key (duplicate requests coalesced into the same batch) are hoisted:
-    one representative per key reaches the engine and its result fans
-    out to every slot.
+    Requests sharing one :meth:`ResultCache.key` (duplicates coalesced
+    into the same batch) are hoisted: one representative per key reaches
+    the engine and its result fans out to every slot.
 
     A failing ``condition`` fails the whole batch (all its requests share
     the condition); a failing individual event falls back to per-item
@@ -161,57 +154,31 @@ def evaluate_batch(
     """
     if tracer is not None:
         with obs.activate(tracer):
-            return _evaluate_batch_cached(model, kind, condition, payloads,
-                                          result_cache)
-    return _evaluate_batch_cached(model, kind, condition, payloads, result_cache)
+            return _evaluate_hoisted(model, kind, condition, payloads)
+    return _evaluate_hoisted(model, kind, condition, payloads)
 
 
-def _evaluate_batch_cached(
-    model: SpplModel, kind: str, condition: Optional[str], payloads: Sequence,
-    result_cache: Optional[ResultCache],
+def _evaluate_hoisted(
+    model: SpplModel, kind: str, condition, payloads: Sequence
 ) -> List[Result]:
-    if result_cache is None:
-        return _evaluate_uncached(model, kind, condition, payloads)
-    keys = [ResultCache.key(kind, condition, payload) for payload in payloads]
-    results: List[Optional[Result]] = [
-        result_cache.get(key) if key is not None else None for key in keys
-    ]
-    missing = [index for index, result in enumerate(results) if result is None]
-    tracer = obs.current()
-    if tracer is not None:
-        sample = next((key for key in keys if key is not None), None)
-        tracer.event(
-            "result_cache",
-            hits=len(payloads) - len(missing),
-            misses=len(missing),
-            key=None if sample is None else repr(sample)[:96],
-        )
-    if missing:
-        # One representative evaluation per distinct key; keyless rows
-        # (uncacheable payloads) are always evaluated individually.
-        representatives: List[int] = []
-        position_by_key: Dict[tuple, int] = {}
-        for index in missing:
-            key = keys[index]
-            if key is None or key not in position_by_key:
-                if key is not None:
-                    position_by_key[key] = len(representatives)
-                representatives.append(index)
-        fresh = _evaluate_uncached(
-            model, kind, condition, [payloads[index] for index in representatives]
-        )
-        fresh_by_index = dict(zip(representatives, fresh))
-        for index in missing:
-            key = keys[index]
-            result = (
-                fresh_by_index[index]
-                if key is None
-                else fresh[position_by_key[key]]
-            )
-            results[index] = result
-            if result[0] == "ok" and key is not None:
-                result_cache.put(key, result)
-    return results  # type: ignore[return-value]
+    # One representative evaluation per distinct key; keyless rows
+    # (uncacheable payloads) are always evaluated individually.
+    representatives: List[int] = []
+    slots: List[int] = []
+    position_by_key: Dict[tuple, int] = {}
+    for index, payload in enumerate(payloads):
+        key = ResultCache.key(kind, condition, payload)
+        position = None if key is None else position_by_key.get(key)
+        if position is None:
+            position = len(representatives)
+            representatives.append(index)
+            if key is not None:
+                position_by_key[key] = position
+        slots.append(position)
+    fresh = _evaluate_uncached(
+        model, kind, condition, [payloads[index] for index in representatives]
+    )
+    return [fresh[position] for position in slots]
 
 
 def _evaluate_uncached(
@@ -297,13 +264,6 @@ class InProcessBackend:
         self._models: Dict[str, SpplModel] = {
             name: registry.get(name).model for name in registry.names()
         }
-        self._result_caches: Dict[str, ResultCache] = {}
-
-    def _result_cache(self, model: str) -> ResultCache:
-        cache = self._result_caches.get(model)
-        if cache is None:
-            cache = self._result_caches[model] = ResultCache()
-        return cache
 
     def _model(self, name: str) -> Optional[SpplModel]:
         model = self._models.get(name)
@@ -328,11 +288,9 @@ class InProcessBackend:
     async def register_model(self, name: str, registered) -> None:
         """Install a live model (shares the registry's object; no round trip)."""
         self._models[name] = registered.model
-        self._result_caches[name] = ResultCache()
 
     async def unregister_model(self, name: str) -> None:
         self._models.pop(name, None)
-        self._result_caches.pop(name, None)
 
     async def run_batch(
         self, model: str, kind: str, condition: Optional[str], shard: int,
@@ -352,8 +310,10 @@ class InProcessBackend:
         tracer = obs.current()
         async with self._semaphore:
             return await loop.run_in_executor(
-                None, evaluate_batch, live, kind, condition, payloads,
-                self._result_cache(model), tracer,
+                None,
+                functools.partial(
+                    evaluate_batch, live, kind, condition, payloads, tracer=tracer
+                ),
             )
 
     def stats_sync(self) -> Dict:
@@ -366,7 +326,6 @@ class InProcessBackend:
         live = self._live_models()
         for name in sorted(live):
             stats[name] = live[name].cache_stats()
-            stats[name]["results"] = self._result_cache(name).stats()
             compiled = live[name].compiled_info()
             if compiled is not None:
                 stats[name]["compiled"] = compiled
@@ -384,15 +343,14 @@ class InProcessBackend:
         for model in self._live_models().values():
             model.clear_cache(everything=True)
             model.clear_event_cache()
-        for cache in self._result_caches.values():
-            cache.clear()
 
     async def close(self) -> None:
         pass
 
 
 class _PendingBatch:
-    __slots__ = ("requests", "futures", "spans", "timer", "flushed", "batch_id")
+    __slots__ = ("requests", "futures", "spans", "stores", "timer", "flushed",
+                 "batch_id")
 
     def __init__(self, batch_id: int):
         self.requests: List = []
@@ -400,6 +358,10 @@ class _PendingBatch:
         # Per-request queue-wait spans (None for untraced requests),
         # parallel to ``requests``; closed when the batch launches.
         self.spans: List = []
+        # Per-request ``(ResultCache, key)`` write-back targets captured
+        # at submit (None for uncacheable requests), parallel to
+        # ``requests``.
+        self.stores: List = []
         self.timer = None
         self.flushed = False
         self.batch_id = batch_id
@@ -422,6 +384,12 @@ class MicroBatcher:
     admission is untouched — a noisy neighbor saturates only its own
     share of the queue space, never the fleet.  Per-tenant sheds are
     counted in ``tenant_sheds`` (exported as labeled metrics samples).
+
+    Every cacheable request is first looked up in its model's
+    :class:`ResultCache`; a hit is answered at once and never enters the
+    coalescer, so it holds no queue slot, cannot be shed, and is counted
+    only by the cache.  ``requests``, ``batches`` and the latency
+    histograms count the misses (and uncacheable requests) that do.
 
     Per-request latency (submit to response, including queue wait) is
     recorded into one :class:`~repro.serve.wire.LatencyHistogram` per
@@ -481,6 +449,7 @@ class MicroBatcher:
         self.tenant_sheds: Dict[str, int] = {}
         self._inflight_models: Dict[str, int] = {}
         self._latency: Dict[str, LatencyHistogram] = {}
+        self._result_caches: Dict[str, ResultCache] = {}
 
     # Back-compatible attribute reads for the migrated counters.
 
@@ -507,6 +476,27 @@ class MicroBatcher:
     @property
     def tenant_shed_requests(self) -> int:
         return self._tenant_shed.value
+
+    def result_cache(self, model: str) -> ResultCache:
+        """``model``'s live result cache (created on first use)."""
+        cache = self._result_caches.get(model)
+        if cache is None:
+            cache = self._result_caches[model] = ResultCache()
+        return cache
+
+    def reset_result_cache(self, model: Optional[str] = None) -> None:
+        """Give ``model`` (every model, when ``None``) an empty result cache.
+
+        The cache *object* is replaced, not emptied: a batch in flight
+        writes its answers back into the cache its requests were looked
+        up in, so nothing computed before a reset can reach the new one.
+        """
+        for name in list(self._result_caches) if model is None else [model]:
+            self._result_caches[name] = ResultCache()
+
+    def drop_result_cache(self, model: str) -> None:
+        """Forget ``model``'s result cache (the model was unregistered)."""
+        self._result_caches.pop(model, None)
 
     def queued_for_tenant(self, tenant: str) -> int:
         """Admitted-but-unanswered request count against one tenant."""
@@ -543,11 +533,26 @@ class MicroBatcher:
         return wire.compute_retry_after_ms(p95_s, utilization)
 
     async def submit(self, request: "wire.Request") -> Result:
-        """Submit one request; resolves with its backend result.
+        """Submit one request; resolves with its cached or backend result.
 
         Raises :class:`OverloadedError` (without queueing the request)
         when the target batch key is at ``max_queued_per_key``.
         """
+        store = None
+        cache_key = ResultCache.key(request.kind, request.condition, request.payload)
+        if cache_key is not None:
+            cache = self.result_cache(request.model)
+            cached = cache.get(cache_key)
+            if isinstance(request.trace, Trace):
+                request.trace.event(
+                    "result_cache",
+                    hits=int(cached is not None),
+                    misses=int(cached is None),
+                    key=repr(cache_key)[:96],
+                )
+            if cached is not None:
+                return cached
+            store = (cache, cache_key)
         loop = asyncio.get_running_loop()
         # Sessions route on their affinity key (stable as the chain
         # grows), everything else on the condition text — either way a
@@ -593,7 +598,7 @@ class MicroBatcher:
             if request.no_batch:
                 self._no_batch.inc()
                 pending = self._new_pending()
-                self._enqueue(pending, request, future, shard)
+                self._enqueue(pending, request, future, shard, store)
                 self._launch(key, pending)
             else:
                 pending = self._pending.get(key)
@@ -603,7 +608,7 @@ class MicroBatcher:
                     pending.timer = loop.call_later(
                         self.window, self._flush, key, pending
                     )
-                self._enqueue(pending, request, future, shard)
+                self._enqueue(pending, request, future, shard, store)
                 if len(pending.requests) >= self.max_batch:
                     self._flush(key, pending)
             result = await future
@@ -625,9 +630,11 @@ class MicroBatcher:
         return _PendingBatch(self._batch_seq)
 
     @staticmethod
-    def _enqueue(pending: _PendingBatch, request, future, shard: int) -> None:
+    def _enqueue(pending: _PendingBatch, request, future, shard: int,
+                 store) -> None:
         pending.requests.append(request)
         pending.futures.append(future)
+        pending.stores.append(store)
         if isinstance(request.trace, Trace):
             pending.spans.append(
                 request.trace.start_span(
@@ -706,6 +713,9 @@ class MicroBatcher:
             for request, qspan in zip(pending.requests, pending.spans):
                 if qspan is not None:
                     request.trace.graft(payload)
+        for store, result in zip(pending.stores, results):
+            if store is not None and result[0] == "ok":
+                store[0].put(store[1], result)
         for future, result in zip(pending.futures, results):
             if not future.done():
                 future.set_result(result)
@@ -745,4 +755,8 @@ class MicroBatcher:
                 {"any": self.retry_after_ms()},
                 **{kind: self.retry_after_ms(kind) for kind in sorted(self._latency)},
             ),
+            "result_cache": {
+                model: cache.stats()
+                for model, cache in sorted(self._result_caches.items())
+            },
         }

@@ -2,7 +2,8 @@
 
 Each shard is a :class:`~repro.serve.transport.ShardHost` endpoint
 holding digest-verified copies of every registered model and a private
-:class:`~repro.spe.QueryCache` + result cache.  The pool talks to every
+:class:`~repro.spe.QueryCache` (repeated queries never reach a shard:
+the scheduler's result cache answers them).  The pool talks to every
 shard through one :class:`~repro.serve.transport.Transport`:
 
 * **local shards** (:class:`~repro.serve.transport.PipeTransport`) are

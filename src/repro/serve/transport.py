@@ -141,12 +141,11 @@ class ShardHost:
     :class:`repro.serve.registry.RegistryJournal`).
     """
 
-    __slots__ = ("shard_id", "models", "result_caches", "digests")
+    __slots__ = ("shard_id", "models", "digests")
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
         self.models: Dict[str, object] = {}
-        self.result_caches: Dict[str, object] = {}
         self.digests: Dict[str, str] = {}
 
     def load(self, model_specs: Dict[str, Dict]) -> Dict[str, str]:
@@ -157,20 +156,16 @@ class ShardHost:
         up" by being handed the pool's current spec set and re-verifying
         the tail it already applied.
         """
-        from .scheduler import ResultCache
-
         for name, spec in model_specs.items():
             if self.digests.get(name) == spec["digest"]:
                 continue
             model, digest = _load_model_spec(name, spec)
             self.models[name] = model
-            self.result_caches[name] = ResultCache()
             self.digests[name] = digest
         return dict(self.digests)
 
     def handle(self, message: tuple) -> tuple:
         """Answer one protocol message; never raises (errors are replies)."""
-        from .scheduler import ResultCache
         from .scheduler import evaluate_batch
 
         op = message[0]
@@ -186,7 +181,8 @@ class ShardHost:
             # the results for the parent to graft under its dispatch span.
             name, kind, condition, payloads = message[1:5]
             # JSON framing decodes chain tuples as lists; re-canonicalize
-            # so batch evaluation and cache keys see the hashable shape.
+            # so batch evaluation and its duplicate keys see the hashable
+            # shape.
             condition = wire.normalize_condition(condition)
             traced = len(message) > 5 and bool(message[5])
             tracer = (
@@ -204,8 +200,7 @@ class ShardHost:
                 )
             else:
                 results = evaluate_batch(
-                    model, kind, condition, payloads,
-                    self.result_caches.get(name), tracer,
+                    model, kind, condition, payloads, tracer=tracer
                 )
             if tracer is not None:
                 return ("results", (results, tracer.to_payload()))
@@ -214,20 +209,18 @@ class ShardHost:
             stats = {}
             for name, model in sorted(self.models.items()):
                 stats[name] = model.cache_stats()
-                stats[name]["results"] = self.result_caches[name].stats()
                 compiled = model.compiled_info()
                 if compiled is not None:
                     stats[name]["compiled"] = compiled
             return ("stats", stats)
         if op == "clear":
-            for name, model in self.models.items():
+            for model in self.models.values():
                 # everything=True: scoped clearing would keep entries
                 # keyed on posterior-subgraph uids alive, and each shard
                 # owns its caches exclusively.  The parsed-event LRU goes
                 # too: a clear forces full recomputation.
                 model.clear_cache(everything=True)
                 model.clear_event_cache()
-                self.result_caches[name].clear()
             return ("cleared", self.shard_id)
         if op == "register":
             # Live model reload: deserialize the shipped spec, prove
@@ -252,7 +245,6 @@ class ShardHost:
                     )
                 model, digest = _load_model_spec(name, spec)
                 self.models[name] = model
-                self.result_caches[name] = ResultCache()
                 self.digests[name] = digest
             except Exception as error:
                 return ("error", "%s: %s" % (type(error).__name__, error))
@@ -260,7 +252,6 @@ class ShardHost:
         if op == "unregister":
             _, name = message
             self.models.pop(name, None)
-            self.result_caches.pop(name, None)
             self.digests.pop(name, None)
             return ("unregistered", name)
         return ("error", "Unknown worker op %r." % (op,))

@@ -387,15 +387,43 @@ class TestRaggedLogpdfBatch:
             model.detach_compiled()
 
 
+def _scheduler_over(model):
+    """A MicroBatcher whose backend evaluates batches on ``model``."""
+    from repro.serve import MicroBatcher
+    from repro.serve.scheduler import evaluate_batch
+
+    class Backend:
+        n_shards = 1
+
+        def route(self, name, condition):
+            return 0
+
+        async def run_batch(self, name, kind, condition, shard, payloads):
+            return evaluate_batch(model, kind, condition, payloads)
+
+    return MicroBatcher(Backend(), window=0)
+
+
+def _ask_in_turn(batcher, texts):
+    import asyncio
+
+    from repro.serve.wire import Request
+
+    async def main():
+        return [
+            await batcher.submit(Request(None, "m", "logprob", text))
+            for text in texts
+        ]
+
+    return asyncio.run(main())
+
+
 class TestServeResultCache:
     def test_answers_independent_of_spelling_order(self, heart_disease_spe):
         """Regression: a spelling must not resolve to whichever
         equivalent spelling arrived first.  Both orders of the pair, on
         the model and through the scheduler's ResultCache, answer what a
         fresh unplanned model answers for each text."""
-        from repro.serve.scheduler import ResultCache
-        from repro.serve.scheduler import evaluate_batch
-
         want = {
             text: repr(SpplModel(heart_disease_spe, plan="off").logprob(text))
             for text in HEART_PAIR
@@ -405,21 +433,16 @@ class TestServeResultCache:
             model = SpplModel(heart_disease_spe, plan="validated")
             for text in order:
                 assert repr(model.logprob(text)) == want[text]
-            model = SpplModel(heart_disease_spe, plan="validated")
-            cache = ResultCache()
-            for text in order:
-                ((status, value),) = evaluate_batch(
-                    model, "logprob", None, [text], cache
-                )
+            batcher = _scheduler_over(SpplModel(heart_disease_spe, plan="validated"))
+            for text, (status, value) in zip(order, _ask_in_turn(batcher, order)):
                 assert status == "ok" and repr(value) == want[text]
+            cache = batcher.result_cache("m")
             assert cache.hits == 0 and cache.misses == 2
 
     def test_duplicate_misses_evaluate_once(self, noisy_or_spe):
-        from repro.serve.scheduler import ResultCache
         from repro.serve.scheduler import evaluate_batch
 
         model = SpplModel(noisy_or_spe, plan="validated")
-        cache = ResultCache()
         calls = []
         original = model.logprob_batch
 
@@ -430,7 +453,7 @@ class TestServeResultCache:
         model.logprob_batch = counting
         results = evaluate_batch(
             model, "logprob", None,
-            ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"], cache,
+            ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"],
         )
         assert results[0] == results[1] == results[2]
         # One representative per distinct text reached the engine.
@@ -439,20 +462,14 @@ class TestServeResultCache:
     def test_each_spelling_is_its_own_entry(self, noisy_or_spe):
         """Raw-text keys: a whitespace variant misses and is answered
         for its own text; asking a text again is a hit."""
-        from repro.serve.scheduler import ResultCache
-        from repro.serve.scheduler import evaluate_batch
-
-        model = SpplModel(noisy_or_spe, plan="validated")
-        cache = ResultCache()
+        batcher = _scheduler_over(SpplModel(noisy_or_spe, plan="validated"))
         texts = ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"]
-        answers = [
-            evaluate_batch(model, "logprob", None, [text], cache)[0]
-            for text in texts
-        ]
+        answers = _ask_in_turn(batcher, texts)
         plain = SpplModel(noisy_or_spe, plan="off")
         assert [repr(value) for _, value in answers] == [
             repr(plain.logprob(text)) for text in texts
         ]
+        cache = batcher.result_cache("m")
         assert (cache.misses, cache.hits) == (2, 1)
 
     @pytest.mark.parametrize("name", sorted(SPELLING_BATCHES))

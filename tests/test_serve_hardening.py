@@ -521,18 +521,22 @@ class TestClearCacheEverywhere:
                 }
                 await client.query(request)
                 await client.query(request)  # result-cache hit
-                before = (await client.stats())["backend"]["models"]["indian_gpa"]
+                before = await client.stats()
                 await client.clear_cache()
-                after = (await client.stats())["backend"]["models"]["indian_gpa"]
+                after = await client.stats()
                 return before, after
             finally:
                 await service.close()
 
         before, after = run(main())
-        assert before["results"]["entries"] > 0
+        results_before = before["scheduler"]["result_cache"]["indian_gpa"]
+        results_after = after["scheduler"]["result_cache"]["indian_gpa"]
+        before = before["backend"]["models"]["indian_gpa"]
+        after = after["backend"]["models"]["indian_gpa"]
+        assert results_before["entries"] > 0
         assert before["event_cache_entries"] > 0
         assert before["logprob"] > 0
-        assert after["results"]["entries"] == 0
+        assert results_after["entries"] == 0
         assert after["event_cache_entries"] == 0
         assert after["logprob"] == 0
 
@@ -577,6 +581,50 @@ class TestLifecycleInProcess:
                 await service.close()
 
         run(main())
+
+    def test_batch_in_flight_across_reregistration_stays_out_of_the_new_cache(
+        self,
+    ):
+        """Regression: a batch of the old program, still in flight when
+        its name is unregistered (drain timed out) and a different
+        program registered under it, writes back into the cache it was
+        looked up in -- never into the new program's cache."""
+        old = SpplModel.from_source("X ~ normal(0, 1)")
+        new = SpplModel.from_source("X ~ normal(1, 1)")
+        query = {"model": "m", "kind": "logprob", "event": "X < 0.5"}
+
+        async def main():
+            service, client = await start_service(window=0.001)
+            try:
+                await client.register_model("m", payload=old.to_json())
+                original = service.backend.run_batch
+                computed, release = asyncio.Event(), asyncio.Event()
+
+                async def computed_then_held(*args):
+                    results = await original(*args)
+                    computed.set()
+                    await release.wait()
+                    return results
+
+                service.backend.run_batch = computed_then_held
+                in_flight = asyncio.ensure_future(client.query(query))
+                await computed.wait()
+                await service._handle_unregister(
+                    json.dumps({"name": "m"}).encode(), drain_timeout=0.0
+                )
+                await client.register_model("m", payload=new.to_json())
+                release.set()
+                stale = value_of(await in_flight)
+                service.backend.run_batch = original
+                fresh = value_of(await client.query(query))
+                return stale, fresh, await client.stats()
+            finally:
+                await service.close()
+
+        stale, fresh, stats = run(main())
+        assert stale == old.logprob("X < 0.5") != new.logprob("X < 0.5")
+        assert fresh == new.logprob("X < 0.5")
+        assert stats["scheduler"]["result_cache"]["m"]["hits"] == 0
 
     def test_register_errors(self):
         from repro.serve import ServeClientError
@@ -767,16 +815,19 @@ class TestShardedHardening:
                 assert stats["scheduler"]["shed"] == len(shed)
                 # -- Cross-shard cache clear (satellite) ---------------------
                 shards = stats["backend"]["shards"]
-                assert any(
-                    s["indian_gpa"]["results"]["entries"] > 0 for s in shards
-                )
+                assert stats["scheduler"]["result_cache"]["indian_gpa"][
+                    "entries"
+                ] > 0
                 assert any(
                     s["indian_gpa"]["event_cache_entries"] > 0 for s in shards
                 )
                 await client.clear_cache()
-                shards = (await client.stats())["backend"]["shards"]
-                for shard_stats in shards:
-                    assert shard_stats["indian_gpa"]["results"]["entries"] == 0
+                stats = await client.stats()
+                assert stats["scheduler"]["result_cache"]["indian_gpa"][
+                    "entries"
+                ] == 0
+                for shard_stats in stats["backend"]["shards"]:
+                    assert "results" not in shard_stats["indian_gpa"]
                     assert shard_stats["indian_gpa"]["event_cache_entries"] == 0
                     assert shard_stats["indian_gpa"]["logprob"] == 0
                 # -- Failed handshake rolls back everywhere ------------------

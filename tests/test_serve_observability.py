@@ -96,10 +96,13 @@ class TestTraceEndToEnd:
         (engine,) = find(tree, "engine.logprob_batch")
         assert engine["tags"]["route"] in ("compiled", "interpreted")
 
-        # Warm repeat: answered from the result cache, engine untouched.
+        # Warm repeat: answered by the result cache at lookup, before
+        # coalescing -- no queue wait, batch, dispatch or engine span.
         (cache,) = find(warm["spans"], "result_cache")
         assert cache["tags"]["hits"] == 1 and cache["tags"]["misses"] == 0
-        assert not find(warm["spans"], "engine.logprob_batch")
+        for name in ("scheduler.queue", "batch", "shard.dispatch",
+                     "engine.logprob_batch"):
+            assert not find(warm["spans"], name)
 
     def test_sharded_trace_shows_dispatch_planner_and_kernel_route(
         self, tmp_path
@@ -254,16 +257,19 @@ class TestMetricsEndpoint:
         declared, samples = self.validate_exposition(text)
         values = dict(samples)
         assert declared["repro_scheduler_requests_total"] == "counter"
-        assert values["repro_scheduler_requests_total"] == "3"
+        # Three identical queries: one enters the coalescer, two are
+        # answered by the result cache ahead of it.
+        assert values["repro_scheduler_requests_total"] == "1"
         assert declared["repro_scheduler_shed_requests_total"] == "counter"
         assert declared["repro_http_connection_sheds_total"] == "counter"
         assert declared["repro_trace_ring_entries"] == "gauge"
         assert declared["repro_scheduler_latency_logprob"] == "histogram"
         # /v1/stats reports the same numbers (shape back-compat).
-        assert stats["scheduler"]["requests"] == 3
-        # Labeled per-model cache samples from the backend walk.
-        assert 'repro_result_cache_hits_total{model="indian_gpa"}' in text
-        assert 'repro_result_cache_misses_total{model="indian_gpa"}' in text
+        assert stats["scheduler"]["requests"] == 1
+        # Labeled per-model samples from the scheduler's result caches.
+        lines = text.splitlines()
+        assert 'repro_result_cache_hits_total{model="indian_gpa"} 2' in lines
+        assert 'repro_result_cache_misses_total{model="indian_gpa"} 1' in lines
 
     def test_histogram_buckets_are_cumulative_and_close_with_inf(self):
         registry = MetricsRegistry()

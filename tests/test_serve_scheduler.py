@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.serve import MicroBatcher
+from repro.serve import OverloadedError
 from repro.serve import wire
 from repro.serve.scheduler import ResultCache
 from repro.serve.scheduler import evaluate_batch
@@ -209,38 +210,66 @@ class TestEvaluateBatch:
         assert result[0] == "error"
 
 
+class ModelBackend(FakeBackend):
+    """Evaluates every batch on one live model, as a shard does."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+
+    async def run_batch(self, model, kind, condition, shard, payloads):
+        self.batches.append((model, kind, condition, shard, list(payloads)))
+        return evaluate_batch(self.model, kind, condition, payloads)
+
+
+def submit_in_turn(batcher, kind, payloads, rounds=1, condition=None):
+    """Submit each payload ``rounds`` times, one request at a time."""
+
+    async def main():
+        return [
+            await batcher.submit(Request(None, "m", kind, payload, condition))
+            for _ in range(rounds)
+            for payload in payloads
+        ]
+
+    return run(main())
+
+
 class TestResultCache:
+    """The scheduler's per-model cache, consulted before coalescing."""
+
     def test_fills_and_replays(self):
-        model = indian_gpa.model()
-        cache = ResultCache()
+        backend = ModelBackend(indian_gpa.model())
+        batcher = MicroBatcher(backend, window=0)
         events = ["GPA > 1", "GPA > 2"]
-        first = evaluate_batch(model, "logprob", None, events, cache)
-        again = evaluate_batch(model, "logprob", None, events, cache)
-        assert first == again
-        stats = cache.stats()
+        first, second, *again = submit_in_turn(batcher, "logprob", events, rounds=2)
+        assert [first, second] == again
+        stats = batcher.result_cache("m").stats()
         assert stats["entries"] == 2
         assert stats["hits"] == 2
         assert stats["misses"] == 2
+        assert [batch[4] for batch in backend.batches] == [["GPA > 1"], ["GPA > 2"]]
 
     def test_hit_miss_counts(self):
-        model = indian_gpa.model()
-        cache = ResultCache()
-        evaluate_batch(model, "logprob", None, ["GPA > 1"], cache)
-        evaluate_batch(model, "logprob", None, ["GPA > 1"], cache)
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["hits"] == 1
+        batcher = MicroBatcher(ModelBackend(indian_gpa.model()), window=0)
+        submit_in_turn(batcher, "logprob", ["GPA > 1"], rounds=2)
+        assert batcher.result_cache("m").stats()["misses"] == 1
+        assert batcher.result_cache("m").stats()["hits"] == 1
 
     def test_errors_not_cached(self):
-        model = indian_gpa.model()
-        cache = ResultCache()
-        evaluate_batch(model, "logprob", None, ["NoVar > 1"], cache)
-        assert cache.stats()["entries"] == 0
+        backend = ModelBackend(indian_gpa.model())
+        batcher = MicroBatcher(backend, window=0)
+        results = submit_in_turn(batcher, "logprob", ["NoVar > 1"], rounds=2)
+        assert [result[0] for result in results] == ["error", "error"]
+        assert batcher.result_cache("m").stats()["entries"] == 0
+        assert len(backend.batches) == 2
 
     def test_sample_never_cached(self):
-        model = indian_gpa.model()
-        cache = ResultCache()
-        evaluate_batch(model, "sample", None, [{"n": 2, "seed": None}], cache)
-        assert cache.stats()["entries"] == 0
+        backend = ModelBackend(indian_gpa.model())
+        batcher = MicroBatcher(backend, window=0)
+        submit_in_turn(batcher, "sample", [{"n": 2, "seed": 3}], rounds=2)
+        assert batcher.stats()["result_cache"] == {}
+        assert len(backend.batches) == 2
 
     def test_bound_evicts_lru(self):
         cache = ResultCache(max_entries=2)
@@ -256,11 +285,109 @@ class TestResultCache:
         assert cache.get(ResultCache.key("logprob", None, "e")) is None
 
     def test_non_finite_values_survive_the_cache(self):
-        model = indian_gpa.model()
-        cache = ResultCache()
-        (first,) = evaluate_batch(model, "logprob", None, ["GPA > 99"], cache)
-        (again,) = evaluate_batch(model, "logprob", None, ["GPA > 99"], cache)
+        batcher = MicroBatcher(ModelBackend(indian_gpa.model()), window=0)
+        first, again = submit_in_turn(batcher, "logprob", ["GPA > 99"], rounds=2)
         assert first == again == ("ok", -math.inf)
+        assert batcher.result_cache("m").stats()["hits"] == 1
+
+
+class GatedBackend(FakeBackend):
+    """Holds every batch until ``gate`` opens, then answers each payload
+    with ``(program, payload)`` -- ``program`` as it is at completion."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = None
+        self.program = "old"
+
+    async def run_batch(self, model, kind, condition, shard, payloads):
+        self.batches.append((model, kind, condition, shard, list(payloads)))
+        await self.gate.wait()
+        return [wire.ok((self.program, payload)) for payload in payloads]
+
+
+class TestFrontEndResultCache:
+    def test_hit_bypasses_coalescer_counters_and_latency(self):
+        backend = FakeBackend()
+        batcher = MicroBatcher(backend, window=0)
+        results = submit_in_turn(batcher, "logprob", ["e"], rounds=3)
+        assert results == [("ok", "e")] * 3
+        assert len(backend.batches) == 1
+        stats = batcher.stats()
+        assert (stats["requests"], stats["batches"]) == (1, 1)
+        assert stats["latency"]["logprob"]["count"] == 1
+        assert stats["result_cache"]["m"] == {
+            "entries": 1, "hits": 2, "misses": 1, "max_entries": 65536,
+        }
+
+    def test_hit_holds_no_queue_slot_and_is_never_shed(self):
+        backend = GatedBackend()
+        batcher = MicroBatcher(
+            backend, window=0, max_queued_per_key=1, max_queued_per_tenant=1
+        )
+
+        async def main():
+            backend.gate = asyncio.Event()
+            backend.gate.set()
+            await batcher.submit(logprob_request("warm"))
+            backend.gate.clear()
+            blocked = asyncio.ensure_future(batcher.submit(logprob_request("slow")))
+            await asyncio.sleep(0)
+            hit = await batcher.submit(logprob_request("warm"))
+            with pytest.raises(OverloadedError):
+                await batcher.submit(logprob_request("other"))
+            backend.gate.set()
+            return hit, await blocked
+
+        hit, slow = run(main())
+        assert hit == ("ok", ("old", "warm"))
+        assert slow == ("ok", ("old", "slow"))
+        assert batcher.stats()["shed"] == 1
+
+    @pytest.mark.parametrize("lifecycle", ["re-register", "clear"])
+    def test_in_flight_batch_writes_back_into_the_cache_it_was_looked_up_in(
+        self, lifecycle
+    ):
+        """Regression: a batch in flight across ``unregister`` + ``register``
+        of a different program under the same name (or across a cache
+        clear) must not leave its answers in the new cache."""
+        backend = GatedBackend()
+        batcher = MicroBatcher(backend, window=0)
+
+        async def main():
+            backend.gate = asyncio.Event()
+            in_flight = asyncio.ensure_future(batcher.submit(logprob_request("e")))
+            while not backend.batches:  # the batch is at the backend
+                await asyncio.sleep(0)
+            if lifecycle == "re-register":
+                batcher.drop_result_cache("m")
+                batcher.reset_result_cache("m")
+            else:
+                batcher.reset_result_cache()
+            backend.gate.set()
+            stale = await in_flight
+            backend.program = "new"
+            return stale, await batcher.submit(logprob_request("e"))
+
+        stale, fresh = run(main())
+        assert stale == ("ok", ("old", "e"))
+        assert fresh == ("ok", ("new", "e"))
+        assert len(backend.batches) == 2  # the repeat missed the new cache
+        assert batcher.result_cache("m").stats() == {
+            "entries": 1, "hits": 0, "misses": 1, "max_entries": 65536,
+        }
+
+    def test_observe_and_failed_conditions_always_reach_the_backend(self):
+        backend = ModelBackend(indian_gpa.model())
+        batcher = MicroBatcher(backend, window=0)
+        observed = submit_in_turn(batcher, "observe", ["GPA > 1"], rounds=2)
+        assert observed == [("ok", True)] * 2
+        failed = submit_in_turn(
+            batcher, "logprob", ["GPA > 1"], rounds=2, condition="GPA > 99"
+        )
+        assert [r[:2] for r in failed] == [("error", "ZeroProbabilityError")] * 2
+        assert len(backend.batches) == 4
+        assert batcher.result_cache("m").stats()["entries"] == 0
 
 
 class TestZeroProbabilityErrorType:

@@ -177,7 +177,8 @@ class TestServiceEndToEnd:
             assert stats["backend"]["mode"] == "in-process"
             model_stats = stats["backend"]["models"]["indian_gpa"]
             assert model_stats["misses"] >= 1
-            assert "results" in model_stats
+            assert "results" not in model_stats
+            assert "indian_gpa" in stats["scheduler"]["result_cache"]
             cleared = await client.clear_cache()
             assert cleared == {"ok": True}
             stats = await client.stats()
@@ -193,8 +194,9 @@ class TestServiceEndToEnd:
             second = await client.query(request)
             assert first["value"] == second["value"]
             stats = await client.stats()
-            results = stats["backend"]["models"]["indian_gpa"]["results"]
-            assert results["hits"] >= 1
+            results = stats["scheduler"]["result_cache"]["indian_gpa"]
+            assert (results["hits"], results["misses"]) == (1, 1)
+            assert stats["scheduler"]["requests"] == 1
 
         run_service(test, models=("indian_gpa",))
 

@@ -171,3 +171,106 @@ class TestWorkerPoolLifecycle:
                 await pool.close()
 
         asyncio.run(main())
+
+
+class TestFrontEndResultCacheDifferential:
+    """Repeated queries over a 2-worker service are answered by the
+    scheduler's result cache, ``repr``-equal to the first (miss) answer
+    and to a fresh unplanned library model."""
+
+    HOT = [
+        {"model": "hmm20", "kind": "logprob", "event": "X[3] < 0.5"},
+        {"model": "hmm20", "kind": "logprob", "event": "Z[7] == 1"},
+        {"model": "hmm20", "kind": "prob", "event": "X[0] < 0.25 and Z[1] == 0"},
+        {"model": "hmm20", "kind": "logpdf", "assignment": {"X[0]": 0.3}},
+        {"model": "noisy_or", "kind": "logprob", "event": "disease_0 == 1"},
+        {"model": "noisy_or", "kind": "prob",
+         "event": "disease_0 == 1 or symptom_0 == 1"},
+        {"model": "noisy_or", "kind": "logpdf", "assignment": {"disease_0": 1}},
+    ]
+    CHAIN = ["X[0] < 0.5", "Z[1] == 1"]
+    READS = [("logprob", {"event": "Z[2] == 1"}), ("query", {"event": "X[4] < 1"})]
+    ZERO = {"model": "hmm20", "kind": "logprob", "event": "X[1] < 0.5",
+            "condition": "X[0] > 1000000000.0"}
+
+    @staticmethod
+    def library(registry, name):
+        from repro.engine import SpplModel
+
+        return SpplModel(registry.get(name).model.spe, plan="off")
+
+    @staticmethod
+    def answer(model, request):
+        if request["kind"] == "logpdf":
+            return model.logpdf(request["assignment"])
+        return getattr(model, request["kind"])(request["event"])
+
+    def test_repeats_come_from_the_front_end_cache_bit_for_bit(self):
+        registry = ModelRegistry()
+        registry.register_catalog("hmm20")
+        registry.register_catalog("noisy_or")
+        hot = [dict(request, id=i) for i, request in enumerate(self.HOT)]
+
+        async def main():
+            service = InferenceService(registry, workers=2, window=0.002)
+            host, port = await service.start()
+            try:
+                client = AsyncServeClient(host, port)
+                snapshots = []
+
+                async def snapshot():
+                    snapshots.append((await client.stats())["scheduler"])
+
+                first = await client.query_many(hot, connections=4)
+                await snapshot()
+                again = [await client.query_many(hot, connections=4)
+                         for _ in range(2)]
+                await snapshot()
+                await client.create_session("s", "hmm20")
+                for event in self.CHAIN:
+                    await client.observe("s", event)
+                await snapshot()
+                reads = [
+                    [value_of(await client.session_query("s", verb, payload))
+                     for _ in range(2)]
+                    for verb, payload in self.READS
+                ]
+                await snapshot()
+                zero = [await client.query(self.ZERO) for _ in range(3)]
+                await snapshot()
+                return first, again, reads, zero, snapshots
+            finally:
+                await service.close()
+
+        first, again, reads, zero, snapshots = asyncio.run(main())
+        warm, repeated, observed, after_reads, after_zero = snapshots
+        # Hot keys: every repeat is a front-end hit, repr-equal to the
+        # miss and to the unplanned library.
+        for request, response in zip(hot, first):
+            expected = self.answer(self.library(registry, request["model"]), request)
+            assert repr(value_of(response)) == repr(expected), request
+        for responses in again:
+            assert [repr(value_of(r)) for r in responses] == [
+                repr(value_of(r)) for r in first
+            ]
+        assert repeated["requests"] == warm["requests"]
+        assert repeated["batches"] == warm["batches"]
+        hits = {name: repeated["result_cache"][name]["hits"]
+                - warm["result_cache"][name]["hits"]
+                for name in ("hmm20", "noisy_or")}
+        assert hits == {"hmm20": 8, "noisy_or": 6}
+        # Session reads on a committed chain: the repeat is a hit.
+        posterior = self.library(registry, "hmm20")
+        for event in self.CHAIN:
+            posterior = posterior.condition(event)
+        for (verb, payload), (miss, hit) in zip(self.READS, reads):
+            kind = {"logprob": "logprob", "query": "prob"}[verb]
+            expected = getattr(posterior, kind)(payload["event"])
+            assert repr(miss) == repr(hit) == repr(expected)
+        assert after_reads["requests"] - observed["requests"] == len(self.READS)
+        # A zero-probability condition is never cached: each repeat
+        # reaches the backend and returns its error.
+        assert [r["error_kind"] for r in zero] == ["ZeroProbabilityError"] * 3
+        assert after_zero["requests"] - after_reads["requests"] == 3
+        assert (after_zero["result_cache"]["hmm20"]["entries"]
+                == after_reads["result_cache"]["hmm20"]["entries"])
