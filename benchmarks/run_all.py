@@ -9,7 +9,7 @@ over the real wire), the service's backpressure behavior under 4x
 overload (shed rate + p99), its fault tolerance (recovery time after
 a worker SIGKILL), the streaming posterior-session tier (observe-step
 latency and warm-chain read throughput vs a scratch rebuild), and the
-framed shard transports (pipe shard vs
+framed shard channel (local shard vs
 localhost-TCP node throughput and tail latency) -- and writes wall times
 plus node counts
 to a ``BENCH_*.json``
@@ -530,7 +530,7 @@ def bench_serve_chaos() -> dict:
 
     Starts a 2-worker sharded service, times one warm pass of 64 spread
     requests as the healthy baseline, then SIGKILLs one worker process
-    and times the same pass again: the pool must detect the dead pipe,
+    and times the same pass again: the pool must detect the dead socket,
     respawn the shard (a fresh interpreter re-running the digest-ack
     handshake for every model), requeue the batches that were in flight,
     and answer everything correctly.  ``respawn_overhead_s`` -- the
@@ -566,7 +566,7 @@ def bench_serve_chaos() -> dict:
         await client.query_many(requests, connections=8)
         healthy_s = time.perf_counter() - start
 
-        os.kill(service.backend.pool.worker_pids()[0], signal.SIGKILL)
+        os.kill(service.backend.pool.fault_points()[0][2], signal.SIGKILL)
         start = time.perf_counter()
         responses = await client.query_many(requests, connections=8)
         killed_s = time.perf_counter() - start
@@ -671,11 +671,11 @@ def bench_session_stream() -> dict:
 
 
 def bench_node_transport() -> dict:
-    """Framed-transport overhead: a pipe shard vs a localhost-TCP node shard.
+    """Shard-channel overhead: a local shard vs a localhost-TCP node shard.
 
-    Starts the same single-shard worker pool twice -- once behind
-    :class:`~repro.serve.transport.PipeTransport` (local worker process,
-    the pre-multi-node configuration) and once behind
+    Starts the same single-shard worker pool twice -- once with a local
+    shard (:class:`~repro.serve.transport.LocalTransport`, a spawned
+    process on a socketpair) and once with
     :class:`~repro.serve.transport.TcpTransport` talking to a real
     ``python -m repro.serve.node`` subprocess on localhost -- and replays
     256 one-event batches through ``pool.run_batch`` on each, after one
@@ -685,10 +685,10 @@ def bench_node_transport() -> dict:
     (framing, syscalls, supervision bookkeeping, the shard's batch
     handler), not symbolic inference.
 
-    ``tcp_over_pipe`` is the relative cost of crossing a socket instead
-    of a pipe; the regression gate budgets the **pipe** pass -- the
-    Transport abstraction must not tax the local path the serve stack has
-    always had.
+    Both run the same framed-JSON loop, so ``tcp_over_local`` is the
+    cost of TCP plus the node's per-connection thread over a socketpair;
+    the regression gate budgets the **local** pass -- the shard channel
+    must not tax the single-host path.
     """
     import asyncio
     import os
@@ -732,9 +732,9 @@ def bench_node_transport() -> dict:
             "p99_ms": round(float(np.percentile(times, 99)) * 1e3, 3),
         }
 
-    pipe_pool = WorkerPool(1)
-    pipe_pool.start(specs)
-    pipe_total, pipe_times = measure(pipe_pool)
+    local_pool = WorkerPool(1)
+    local_pool.start(specs)
+    local_total, local_times = measure(local_pool)
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
@@ -756,9 +756,9 @@ def bench_node_transport() -> dict:
 
     return {
         "calls": n_calls,
-        "pipe": report(pipe_total, pipe_times),
+        "local": report(local_total, local_times),
         "tcp": report(tcp_total, tcp_times),
-        "tcp_over_pipe": round(tcp_total / pipe_total, 2),
+        "tcp_over_local": round(tcp_total / local_total, 2),
     }
 
 
@@ -885,10 +885,10 @@ def check_gate(snapshot: dict, baseline: dict) -> list:
       tracing disabled may regress at most 5% against the baseline
       (fleet-median normalized, same absolute grace): observability
       must stay near-free when off.
-    * ``node_transport`` pipe pass -- the local pipe-shard path may
-      regress at most 25% against the baseline (fleet-median normalized,
-      same absolute grace): the Transport abstraction and multi-node
-      supervision must not tax the single-host configuration.
+    * ``node_transport`` local pass -- the local-shard path may regress
+      at most 25% against the baseline (fleet-median normalized, same
+      absolute grace): the shard channel and multi-node supervision must
+      not tax the single-host configuration.
     """
     failures = []
     for name, row in sorted(snapshot.get("compiled_logprob_batch", {}).items()):
@@ -1040,26 +1040,26 @@ def check_gate(snapshot: dict, baseline: dict) -> list:
                     expected_off,
                 )
             )
-    old_node = baseline.get("node_transport", {}).get("pipe", {})
-    new_node = snapshot.get("node_transport", {}).get("pipe", {})
+    old_node = baseline.get("node_transport", {}).get("local", {})
+    new_node = snapshot.get("node_transport", {}).get("local", {})
     if old_node.get("total_s", 0) > 0 and new_node:
         machine_scale = float(np.median(list(ratios.values()))) if ratios else 1.0
-        expected_pipe = old_node["total_s"] * machine_scale
-        new_pipe = new_node["total_s"]
+        expected_local = old_node["total_s"] * machine_scale
+        new_local = new_node["total_s"]
         if (
-            new_pipe > expected_pipe * GATE_SLOWDOWN_FACTOR
-            and new_pipe - expected_pipe > GATE_ABSOLUTE_GRACE_S
+            new_local > expected_local * GATE_SLOWDOWN_FACTOR
+            and new_local - expected_local > GATE_ABSOLUTE_GRACE_S
         ):
             failures.append(
-                "pipe-transport regression: node_transport pipe pass "
+                "local-shard regression: node_transport local pass "
                 "%.4fs -> %.4fs (>%d%% over the fleet-scaled baseline "
-                "%.4fs; the framed Transport layer must stay free on the "
-                "local path)"
+                "%.4fs; the shard channel must stay free on the local "
+                "path)"
                 % (
                     old_node["total_s"],
-                    new_pipe,
+                    new_local,
                     round((GATE_SLOWDOWN_FACTOR - 1) * 100),
-                    expected_pipe,
+                    expected_local,
                 )
             )
     return failures
@@ -1077,7 +1077,7 @@ def main() -> int:
         default=None,
         metavar="BASELINE",
         help="compare against a committed BENCH_*.json and exit non-zero on "
-        "a >25%% translate_s, compiled-logprob_batch, or pipe-transport "
+        "a >25%% translate_s, compiled-logprob_batch, or local-shard "
         "slowdown, any compression-ratio regression, any bit-identity "
         "differential mismatch (compiled vs interpreted, planned vs "
         "unplanned, wire session vs library chain), or a >5%% "

@@ -20,7 +20,7 @@ order:
   explicitly, which re-activates it on the executor thread.
 * **Process-portable fragments.**  Worker shards cannot share the
   parent's clock or objects; they build their own :class:`Trace`, fold
-  it to a plain dict (:meth:`Trace.to_payload`) that crosses the pipe,
+  it to a plain dict (:meth:`Trace.to_payload`) that crosses the shard socket,
   and the parent grafts it under the dispatch span
   (:meth:`Trace.graft`).  Offsets inside a payload are relative to the
   span's own parent, so grafted subtrees stay internally consistent

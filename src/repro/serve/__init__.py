@@ -14,12 +14,14 @@ into the "heavy traffic" deployment shape the ROADMAP targets:
   transports, each holding a digest-verified copy of every model and a
   private :class:`~repro.spe.QueryCache`; dead shards are respawned and
   their in-flight batches requeued (and proactively probed),
-* :mod:`repro.serve.transport` -- the framed shard channels:
-  :class:`~repro.serve.transport.PipeTransport` (local worker process)
-  and :class:`~repro.serve.transport.TcpTransport` (remote
-  :mod:`repro.serve.node` over length-prefixed JSON frames),
-* :mod:`repro.serve.node`      -- ``python -m repro.serve.node --listen
-  HOST:PORT``, a remote node hosting shards for a front-end's pool,
+* :mod:`repro.serve.transport` -- the one shard channel, length-prefixed
+  JSON frames over a socket, launched as a local spawned process
+  (:class:`~repro.serve.transport.LocalTransport`) or a connection to
+  a remote node (:class:`~repro.serve.transport.TcpTransport`),
+* :mod:`repro.serve.node`      -- the shard endpoint loop
+  (:func:`~repro.serve.node.serve_shard`) and ``python -m
+  repro.serve.node --listen HOST:PORT``, a node serving it per
+  connection for a front-end's pool,
 * :mod:`repro.serve.wire`      -- the newline-delimited JSON protocol,
 * :mod:`repro.serve.http`      -- the stdlib asyncio HTTP front-end
   (pipelined connections, backpressure with adaptive 429-style shedding,
@@ -87,9 +89,9 @@ from .sharding import HashRing
 from .sharding import WorkerError
 from .sharding import WorkerPool
 from .sharding import WorkerPoolBackend
-from .transport import PipeTransport
+from .transport import LocalTransport
+from .transport import SocketTransport
 from .transport import TcpTransport
-from .transport import Transport
 from .transport import TransportConnectError
 from .wire import LatencyHistogram
 from .wire import Request
@@ -120,9 +122,9 @@ __all__ = [
     "SessionNotFound",
     "SessionQuotaError",
     "SessionStore",
-    "PipeTransport",
+    "LocalTransport",
+    "SocketTransport",
     "TcpTransport",
-    "Transport",
     "TransportConnectError",
     "WireError",
     "WorkerError",

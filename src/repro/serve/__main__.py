@@ -28,7 +28,7 @@ from .registry import ModelRegistry
 from .registry import RegistryJournal
 
 #: ``--workers auto`` never spawns more than this many shards: past a
-#: handful of workers the pipe fan-out and per-shard cache duplication
+#: handful of workers the shard fan-out and per-shard cache duplication
 #: cost more than the extra cores buy for typical catalogs.
 AUTO_WORKERS_CAP = 8
 

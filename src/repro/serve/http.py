@@ -1097,7 +1097,7 @@ class InferenceService:
         Registry-owned instruments render directly; per-model cache
         counters, per-pass planner outcomes, and journal statistics live
         in their owners (the scheduler's result caches, or worker shards
-        reached over the pipe) and are gathered here as labeled
+        reached over their sockets) and are gathered here as labeled
         scrape-time samples.
         """
         counters: List[obs.metrics.Sample] = []

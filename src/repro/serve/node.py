@@ -1,13 +1,22 @@
-"""Remote inference node: shards over TCP for a front-end's worker pool.
+"""The shard endpoint: one blocking framed-socket loop, local or remote.
 
-``python -m repro.serve.node --listen HOST:PORT`` hosts a set of shard
-contexts that a front-end's :class:`~repro.serve.sharding.WorkerPool`
-reaches through :class:`~repro.serve.transport.TcpTransport`.  One
-connection hosts one shard: the client's first frame must be the
-``hello`` handshake carrying its shard id and current model specs; the
-node loads (or re-verifies) every spec and acks with the recomputed
-digests -- the same digest-ack contract a spawned pipe worker answers,
-so the pool cannot tell the transports apart.
+:func:`serve_shard` is the only shard endpoint.  A front-end's
+:class:`~repro.serve.sharding.WorkerPool` runs it two ways:
+
+* a **local shard** is a spawn-started process whose target is
+  ``serve_shard`` on one end of a ``socket.socketpair()``
+  (:class:`~repro.serve.transport.LocalTransport`);
+* ``python -m repro.serve.node --listen HOST:PORT`` is a **node** that
+  runs ``serve_shard`` on its own thread for every accepted connection
+  (:class:`~repro.serve.transport.TcpTransport`).
+
+Either way one connection hosts one shard: the first frame must be the
+``hello`` handshake carrying the shard id and the current model specs;
+the endpoint loads (or re-verifies) every spec and acks with the
+recomputed digests, and then answers one length-prefixed JSON message
+at a time.  A malformed message gets an ``("error", ...)`` reply; a
+truncated, over-bound, undecodable or non-object frame closes that
+connection, and the node keeps serving the others.
 
 Model "shipping" is a blob fetch-or-verify, not a byte copy: ``path``
 specs name a content-addressed compiled ``.spz`` blob (``<digest>.spz``)
@@ -27,28 +36,27 @@ replaying the tail, exactly like a journal restore.
 
 Shard state lives per *connection*: when the front-end drops (or its
 pool respawns the shard), the replacement connection re-handshakes and
-rebuilds from the specs it carries; nothing stale survives.  The process
-itself is shared-nothing across connections -- hosting several shards of
-one pool, or shards of several pools, works the same way.
+rebuilds from the specs it carries; nothing stale survives.  A node is
+shared-nothing across connections -- hosting several shards of one
+pool, or shards of several pools, works the same way.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import contextlib
 import os
 import signal
+import socket
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from typing import Dict
 from typing import Optional
 
 from .transport import ShardHost
-from .transport import decode_frame
-from .transport import encode_frame
-from .transport import frame_length
+from .transport import WorkerError
+from .transport import encode_reply
 from .transport import parse_address
+from .transport import read_frame
 
 
 def resolve_blob_paths(specs: Dict[str, Dict], blob_dir: Optional[str]) -> Dict[str, Dict]:
@@ -76,132 +84,63 @@ def resolve_blob_paths(specs: Dict[str, Dict], blob_dir: Optional[str]) -> Dict[
     return resolved
 
 
-def encode_reply(reply: tuple) -> bytes:
-    """Frame one shard reply, tagging traced batch replies.
+def serve_shard(sock: socket.socket, blob_dir: Optional[str] = None,
+                log=None) -> None:
+    """Host one shard on a connected socket until ``stop`` or EOF.
 
-    A traced batch reply is ``("results", (rows, span_payload))`` --
-    JSON cannot distinguish that 2-tuple from a plain row list once
-    flattened, so the frame carries an explicit ``"traced"`` flag for
-    :func:`~repro.serve.transport.decode_reply` to key on.
+    The only shard endpoint: a spawned local shard runs it on its end of
+    a socketpair, and the node CLI runs it per accepted connection.  The
+    first frame must be the ``hello`` handshake (shard id + model specs);
+    every later frame is one message for :meth:`ShardHost.handle`, whose
+    malformed-message errors come back as ``("error", ...)`` replies.  A
+    truncated, over-bound, undecodable or non-object frame closes this
+    connection only.
     """
-    frame: Dict = {"reply": list(reply)}
-    if reply[0] == "results" and isinstance(reply[1], tuple):
-        frame["traced"] = True
-        frame["reply"] = ["results", [reply[1][0], reply[1][1]]]
-    return encode_frame(frame)
-
-
-class NodeServer:
-    """One listening node process (asyncio server, executor evaluation)."""
-
-    def __init__(self, host: str, port: int, blob_dir: Optional[str] = None,
-                 log=sys.stderr):
-        self.host = host
-        self.port = port
-        self.blob_dir = blob_dir
-        self._log = log
-        self._server: Optional[asyncio.AbstractServer] = None
-        # Blocking work (model loads, batch evaluation) runs here so a
-        # long batch on one shard never starves another connection's
-        # frames.  Sized generously: connections are one per shard.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(4, os.cpu_count() or 4),
-            thread_name_prefix="repro-serve-node",
-        )
-        self.connections = 0
-
-    def _say(self, message: str) -> None:
-        if self._log is not None:
-            print(message, file=self._log, flush=True)
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-        self._say(
-            "repro.serve.node listening on %s:%d (blob dir: %s)"
-            % (self.host, self.port, self.blob_dir or "none")
-        )
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self._executor.shutdown(wait=False)
-
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> Optional[Dict]:
+    reader = sock.makefile("rb")
+    try:
+        host = _hello(sock, reader, blob_dir)
+        if host is None:
+            return
+        _say(log, "node: shard %d attached (%d models)"
+             % (host.shard_id, len(host.models)))
         try:
-            header = await reader.readexactly(4)
-            payload = await reader.readexactly(frame_length(header))
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        return decode_frame(payload)
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        """One shard context: hello handshake, then the op loop."""
-        loop = asyncio.get_running_loop()
-        self.connections += 1
-        host: Optional[ShardHost] = None
-        try:
-            frame = await self._read_frame(reader)
-            if frame is None:
-                return
-            message = frame.get("msg")
-            if not isinstance(message, list) or not message or message[0] != "hello":
-                writer.write(encode_reply(
-                    ("init_error", "Node expects a hello frame first.")
-                ))
-                await writer.drain()
-                return
-            _, shard_id, specs = message
-            host = ShardHost(int(shard_id))
-            specs = resolve_blob_paths(specs or {}, self.blob_dir)
-            try:
-                digests = await loop.run_in_executor(
-                    self._executor, host.load, specs
-                )
-            except BaseException as error:
-                writer.write(encode_reply(
-                    ("init_error", "%s: %s" % (type(error).__name__, error))
-                ))
-                await writer.drain()
-                return
-            writer.write(encode_reply(("ready", digests)))
-            await writer.drain()
-            self._say(
-                "node: shard %d attached (%d models)" % (host.shard_id, len(specs))
-            )
-
             while True:
-                frame = await self._read_frame(reader)
-                if frame is None:
+                reply = host.handle(read_frame(reader).get("msg"))
+                sock.sendall(encode_reply(reply))
+                if reply[0] == "stopped":
+                    # Stop ends this shard context, not the node: other
+                    # connections keep serving.
                     break
-                message = tuple(frame.get("msg") or ("",))
-                reply = await loop.run_in_executor(
-                    self._executor, host.handle, message
-                )
-                writer.write(encode_reply(reply))
-                await writer.drain()
-                if message[0] == "stop":
-                    # Stop ends this shard context, not the node: the
-                    # pool is shutting the shard down (or probing it
-                    # away); other connections keep serving.
-                    break
-        except ConnectionError:
-            pass
         finally:
-            self.connections -= 1
-            if host is not None:
-                self._say("node: shard %d detached" % (host.shard_id,))
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.close()
-                await writer.wait_closed()
+            _say(log, "node: shard %d detached" % (host.shard_id,))
+    except (OSError, EOFError, WorkerError):
+        pass
+    finally:
+        reader.close()
+        sock.close()
+
+
+def _hello(sock: socket.socket, reader, blob_dir: Optional[str]) -> Optional[ShardHost]:
+    """Answer the hello handshake; returns the loaded shard or ``None``."""
+    message = read_frame(reader).get("msg")
+    try:
+        if not (isinstance(message, list) and len(message) == 3
+                and message[0] == "hello"):
+            raise WorkerError("Node expects a hello frame first.")
+        host = ShardHost(int(message[1]))
+        digests = host.load(resolve_blob_paths(message[2] or {}, blob_dir))
+    except Exception as error:
+        sock.sendall(encode_reply(
+            ("init_error", "%s: %s" % (type(error).__name__, error))
+        ))
+        return None
+    sock.sendall(encode_reply(("ready", digests)))
+    return host
+
+
+def _say(log, message: str) -> None:
+    if log is not None:
+        print(message, file=log, flush=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,27 +161,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def run(args) -> None:
-    host, port = parse_address(args.listen)
-    node = NodeServer(host, port, blob_dir=args.blob_dir)
-    await node.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(signum, stop.set)
-    try:
-        await stop.wait()
-    finally:
-        await node.close()
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        asyncio.run(run(args))
-    except KeyboardInterrupt:
-        pass
+    host, port = parse_address(args.listen)
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    # SIGTERM stops the node like SIGINT: KeyboardInterrupt out of accept().
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    with socket.create_server((host, port), family=family) as listener:
+        _say(sys.stderr, "repro.serve.node listening on %s:%d (blob dir: %s)"
+             % (host, listener.getsockname()[1], args.blob_dir or "none"))
+        try:
+            while True:
+                conn, _ = listener.accept()
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                threading.Thread(
+                    target=serve_shard, args=(conn, args.blob_dir, sys.stderr),
+                    name="repro-serve-node-shard", daemon=True,
+                ).start()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

@@ -147,7 +147,7 @@ def evaluate_batch(
     evaluation so one bad request cannot poison its batch-mates.
 
     ``tracer`` carries the batch's :class:`repro.obs.Trace` across the
-    ``run_in_executor`` (or worker-pipe) boundary — context variables do
+    ``run_in_executor`` (or shard-socket) boundary — context variables do
     not cross threads or processes, so the scheduler captures the active
     trace on the event loop and this function re-activates it here,
     where the engine's instrumentation points can see it.

@@ -1,24 +1,25 @@
-"""Sharded worker pool: shards behind transports, local or remote.
+"""Sharded worker pool: shards behind one framed-socket channel.
 
-Each shard is a :class:`~repro.serve.transport.ShardHost` endpoint
-holding digest-verified copies of every registered model and a private
+Each shard is a :class:`~repro.serve.transport.ShardHost` holding
+digest-verified copies of every registered model and a private
 :class:`~repro.spe.QueryCache` (repeated queries never reach a shard:
-the scheduler's result cache answers them).  The pool talks to every
-shard through one :class:`~repro.serve.transport.Transport`:
+the scheduler's result cache answers them).  Every shard runs the same
+endpoint loop, :func:`repro.serve.node.serve_shard`, behind a
+:class:`~repro.serve.transport.SocketTransport` carrying length-prefixed
+JSON frames; only the launcher differs:
 
-* **local shards** (:class:`~repro.serve.transport.PipeTransport`) are
-  spawned worker processes behind ``multiprocessing`` pipes -- no forked
+* **local shards** (:class:`~repro.serve.transport.LocalTransport`) are
+  spawn-started processes on one end of a socketpair -- no forked
   locks, no inherited asyncio state, the child imports :mod:`repro`
-  fresh, exactly what a cross-machine deployment would do;
-* **remote shards** (:class:`~repro.serve.transport.TcpTransport`) live
-  on :mod:`repro.serve.node` processes reached over length-prefixed
-  JSON frames; the same messages, the same digest-ack handshake on
-  every (re)connect.
+  fresh, exactly what a cross-machine deployment does;
+* **remote shards** (:class:`~repro.serve.transport.TcpTransport`) are
+  connections to :mod:`repro.serve.node` processes.
 
-Every endpoint verifies **round-trip fidelity** before it is trusted:
-it recomputes :func:`repro.spe.spe_digest` over each rebuilt graph (or
-the content hash of an mmap'd ``.spz`` blob) and the pool refuses any
-shard whose digests do not match its specs.
+Both get their models in the same ``hello`` frame and answer the same
+messages.  Every endpoint verifies **round-trip fidelity** before it is
+trusted: it recomputes :func:`repro.spe.spe_digest` over each rebuilt
+graph (or the content hash of an mmap'd ``.spz`` blob) and the pool
+refuses any shard whose digests do not match its specs.
 
 Routing:
 
@@ -36,8 +37,8 @@ shard, enforced by an asyncio lock, so no message-id matching is needed;
 blocking transport reads run on executor threads, keeping the event
 loop free.
 
-Supervision is transport-neutral: a shard whose channel fails (process
-exit, OOM kill, pipe failure, dropped socket) is **respawned** through
+Supervision is launcher-neutral: a shard whose channel fails (process
+exit, OOM kill, dropped socket) is **respawned** through
 ``transport.restart`` -- a fresh worker process, or a bounded reconnect
 to the node -- with the digest-ack handshake re-run from the pool's
 current specs, and the in-flight message is **resent**.  Exact inference
@@ -48,7 +49,7 @@ A batch that kills its shard repeatedly (:data:`MAX_RESPAWNS_PER_CALL`
 times) is failed rather than retried forever -- a poison request must
 not wedge the shard in a crash loop.
 
-Two failure modes the pipe-only pool never had:
+Beyond respawn:
 
 * a shard whose endpoint **cannot come back** (its node is down) is
   marked **dead**: it leaves the routing ring (only its ``1/n`` of the
@@ -67,8 +68,8 @@ import asyncio
 import bisect
 import contextlib
 import hashlib
-import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from typing import Dict
 from typing import List
 from typing import Optional
@@ -77,12 +78,10 @@ from typing import Sequence
 from .. import obs
 from ..obs import MetricsRegistry
 from . import wire
-from .transport import PipeTransport
-from .transport import ShardHost
+from .transport import LocalTransport
 from .transport import TcpTransport
 from .transport import TransportConnectError
 from .transport import WorkerError
-from .transport import _load_model_spec  # noqa: F401  (back-compat re-export)
 from .wire import Result
 
 
@@ -140,64 +139,14 @@ class HashRing:
         return self._shards[index]
 
 
-# ---------------------------------------------------------------------------
-# Worker process (the pipe transport's endpoint).
-# ---------------------------------------------------------------------------
-
-def _worker_main(worker_id: int, model_specs: Dict[str, Dict], conn) -> None:
-    """Entry point of one worker process (spawn-safe, module level).
-
-    A thin pipe loop around the transport-neutral
-    :class:`~repro.serve.transport.ShardHost`: load every model (mmap'd
-    blob or deserialized payload, digest verified either way), ack
-    readiness, then answer messages until told to stop.  All replies are
-    plain picklable values.
-    """
-    host = ShardHost(worker_id)
-    try:
-        digests = host.load(model_specs)
-    except BaseException as error:
-        conn.send(("init_error", "%s: %s" % (type(error).__name__, error)))
-        conn.close()
-        return
-    conn.send(("ready", digests))
-
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        conn.send(host.handle(message))
-        if message[0] == "stop":
-            break
-    conn.close()
-
-
 class _Worker:
-    """Supervision record of one shard: its transport plus the call lock.
-
-    ``process`` and ``conn`` proxy into a pipe transport (settable, so
-    fault-injection tests can wrap the connection to kill the worker
-    mid-send exactly as they always have).
-    """
+    """Supervision record of one shard: its transport plus the call lock."""
 
     __slots__ = ("transport", "lock")
 
     def __init__(self, transport):
         self.transport = transport
         self.lock = asyncio.Lock()
-
-    @property
-    def process(self):
-        return self.transport.process
-
-    @property
-    def conn(self):
-        return self.transport.conn
-
-    @conn.setter
-    def conn(self, value):
-        self.transport.conn = value
 
 
 #: How many times one message may trigger a respawn-and-resend before the
@@ -217,7 +166,7 @@ class WorkerPool:
     and is revived by the probe loop when its node returns.
     """
 
-    def __init__(self, n_workers: int, start_method: str = "spawn",
+    def __init__(self, n_workers: int,
                  metrics: Optional[MetricsRegistry] = None,
                  nodes: Optional[Sequence[str]] = None,
                  probe_interval_ms: float = 1000.0):
@@ -228,7 +177,6 @@ class WorkerPool:
             raise ValueError("WorkerPool needs a non-negative worker count.")
         self.n_workers = n_workers
         self.probe_interval_ms = probe_interval_ms
-        self._context = multiprocessing.get_context(start_method)
         self._workers: List[_Worker] = []
         # One thread per shard plus probe headroom: a blocking transport
         # read never starves another shard's reply, and the probe loop
@@ -311,22 +259,10 @@ class WorkerPool:
             self.membership_version += 1
             obs.event("shard.revived", shard=shard)
 
-    def worker_pids(self) -> List[int]:
-        """Live local worker process ids (legacy fault-injection hook).
-
-        Superseded by :meth:`fault_points`, which covers remote shards
-        too; kept because chaos tooling SIGKILLs through it.
-        """
-        return [
-            worker.transport.process.pid
-            for worker in self._workers
-            if worker.transport.kind == "pipe"
-        ]
-
     def fault_points(self) -> List[tuple]:
         """``(shard_id, kind, pid_or_address)`` per shard, for chaos tests.
 
-        ``kind == "pipe"`` shards are killable by pid; ``kind == "tcp"``
+        ``kind == "local"`` shards are killable by pid; ``kind == "tcp"``
         shards name the node address to take down.
         """
         return [worker.transport.fault_point() for worker in self._workers]
@@ -341,31 +277,31 @@ class WorkerPool:
 
         ``model_specs`` maps model name to ``{"payload": json_str,
         "digest": str, "cache_size": int|None}`` (see
-        :meth:`InferenceService.worker_specs`).  Local workers spawn
-        concurrently and handshake afterwards; remote shards connect and
-        handshake in the same pass.  Blocking -- call before serving (or
-        from an executor thread).
+        :meth:`InferenceService.worker_specs`).  Every shard starts
+        concurrently on the pool's executor: local shards spawn, remote
+        shards connect, and each runs the hello handshake.  Blocking --
+        call before serving (or from an executor thread).
         """
         self._specs = {name: dict(spec) for name, spec in model_specs.items()}
         self._start_timeout = timeout
-        for worker_id in range(self.n_workers):
-            transport = PipeTransport(worker_id, self._context, _worker_main)
-            transport.launch(self._specs)
-            self._workers.append(_Worker(transport))
-        for offset, address in enumerate(self.nodes):
-            self._workers.append(
-                _Worker(TcpTransport(address, self.n_workers + offset))
-            )
-        for worker in self._workers:
-            try:
-                if worker.transport.kind != "pipe":
-                    worker.transport.launch(self._specs)
-                worker.transport.handshake(self._specs, timeout)
-            except WorkerError:
+        self._workers = [
+            _Worker(LocalTransport(shard)) for shard in range(self.n_workers)
+        ] + [
+            _Worker(TcpTransport(address, self.n_workers + offset))
+            for offset, address in enumerate(self.nodes)
+        ]
+        starts = [
+            self._executor.submit(worker.transport.start, self._specs, timeout)
+            for worker in self._workers
+        ]
+        wait(starts)
+        for future in starts:
+            error = future.exception()
+            if error is not None:
                 # Don't leave the siblings running (e.g. one worker
                 # OOM-killed while deserializing).
                 self.terminate()
-                raise
+                raise error
 
     async def _respawn(self, shard: int, worker: _Worker) -> None:
         """Replace a dead shard's endpoint (caller holds the shard lock).

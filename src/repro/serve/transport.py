@@ -1,55 +1,59 @@
-"""Framed shard transports: the *how* of talking to a worker shard.
+"""The shard channel: framed JSON over a stream socket, local or remote.
 
 The worker pool (:mod:`repro.serve.sharding`) supervises shards that
 answer a small deterministic message protocol -- ``batch`` / ``stats`` /
 ``clear`` / ``register`` / ``unregister`` / ``ping`` / ``stop`` tuples
-with digest-verified model handshakes.  This module separates that
-protocol (*what* is sent) from the byte channel carrying it (*how*):
+with digest-verified model handshakes.  Every shard endpoint is the same
+blocking loop, :func:`repro.serve.node.serve_shard`, driving one
+:class:`ShardHost`; the channel to it is always a connected stream
+socket carrying length-prefixed JSON frames.  :class:`SocketTransport`
+holds that channel: the codec, ``send``/``recv``, the ``hello``
+handshake and the ping probe.  Two thin launchers say where the socket
+comes from:
 
-* :class:`PipeTransport` -- today's ``multiprocessing`` spawn + pipe,
-  byte-for-byte: the same ``_worker_main`` child, the same ready/ack
-  handshake, the same blocking ``Connection`` send/recv discipline.
-* :class:`TcpTransport` -- the same message tuples as length-prefixed
-  JSON frames over a socket to a :mod:`repro.serve.node` process,
-  with the digest-ack handshake performed on every (re)connect.
+* :class:`LocalTransport` -- a spawn-started process running
+  ``serve_shard`` on one end of a ``socket.socketpair()``; restart
+  respawns it.
+* :class:`TcpTransport` -- a TCP connection to a
+  ``python -m repro.serve.node`` process, which runs ``serve_shard``
+  per accepted connection; restart reconnects within a bounded window.
 
-Every transport implements one blocking contract, driven from the
-pool's executor threads exactly like the pipe always was:
+The contract, driven from the pool's executor threads:
 
-* ``launch(specs)`` / ``handshake(specs, timeout)`` -- bring the
-  endpoint up and complete the **digest-ack handshake**: the endpoint
-  recomputes the structural digest of every model it loaded and the
-  parent refuses the shard unless the digests match its specs.
+* ``start(specs, timeout)`` -- open the endpoint and complete the
+  **digest-ack handshake**: the ``hello`` frame carries the shard id and
+  the current model specs, the endpoint recomputes the structural digest
+  of every model it loaded, and the parent refuses the shard unless the
+  digests match its specs.
 * ``send(message)`` / ``recv()`` -- one strict request/reply round trip
   (the pool holds a per-shard lock, so no message-id matching).  Both
   raise ``OSError``/``EOFError`` when the endpoint is gone -- the
   supervision signal the pool's respawn logic keys on.
-* ``probe()`` -- cheap liveness check for the proactive probe loop
-  (process aliveness for pipes, a ping/pong round trip for sockets).
-* ``restart(specs, timeout)`` -- replace a dead endpoint: respawn the
-  process (pipe) or reconnect within a bounded window (TCP), handshake
+* ``probe()`` -- a ping/pong round trip for the proactive probe loop.
+* ``restart(specs, timeout)`` -- replace a dead endpoint, handshake
   included.  Raises :class:`WorkerError` when the endpoint cannot come
   back -- for a remote node that is how the pool learns the shard is
   *dead* rather than merely slow.
 * ``close()`` / ``terminate()`` / ``join(timeout)`` -- the clean
   shutdown / hard-kill / reap contract.
 * ``fault_point()`` -- ``(shard_id, kind, pid_or_address)`` for chaos
-  tooling: what to SIGKILL (pipe) or which node to take down (TCP).
+  tooling: what to SIGKILL (``"local"``) or which node to take down
+  (``"tcp"``).
 
-Frame format (TCP): a 4-byte big-endian payload length, then a UTF-8
-JSON object -- ``{"msg": [...]}`` requests, ``{"reply": [...]}``
-replies (batch replies add ``"traced": true`` when they carry a span
-fragment beside the results).  JSON is encoded with ``allow_nan=True``
-so the non-finite floats exact inference produces (``logprob`` of an
-impossible event is exactly ``-inf``) cross the socket natively, and
-finite floats round-trip bit-exactly through shortest-repr.  Tuples
-flatten to JSON arrays; :func:`decode_reply` restores the result-row
-tuples so callers see identical shapes on both transports.
+Frame format: a 4-byte big-endian payload length, then a UTF-8 JSON
+object -- ``{"msg": [...]}`` requests, ``{"reply": [...]}`` replies
+(batch replies add ``"traced": true`` when they carry a span fragment
+beside the results).  JSON is encoded with ``allow_nan=True`` so the
+non-finite floats exact inference produces (``logprob`` of an impossible
+event is exactly ``-inf``) cross the socket natively, and finite floats
+round-trip bit-exactly through shortest-repr.  Tuples flatten to JSON
+arrays; :func:`decode_reply` restores the result-row tuples.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import socket
 import struct
 import time
@@ -89,9 +93,13 @@ DEFAULT_RECONNECT_TIMEOUT = 1.0
 #: Socket timeout of one liveness ping round trip.
 PROBE_TIMEOUT = 2.0
 
+#: Local shards are spawn-started: no forked locks, no inherited asyncio
+#: state, the child imports :mod:`repro` fresh like a remote node does.
+_SPAWN = multiprocessing.get_context("spawn")
+
 
 # ---------------------------------------------------------------------------
-# Shard endpoint: the transport-neutral op handler.
+# Shard endpoint: the op handler behind every channel.
 # ---------------------------------------------------------------------------
 
 def _load_model_spec(name: str, spec: Dict):
@@ -127,18 +135,15 @@ def _load_model_spec(name: str, spec: Dict):
 
 
 class ShardHost:
-    """One shard's models, caches, and op handler -- transport-neutral.
+    """One shard's models, caches, and op handler.
 
-    This is the endpoint side of the transport contract: the pipe worker
-    (:func:`repro.serve.sharding._worker_main`) and the TCP node
-    (:mod:`repro.serve.node`) both delegate every message to one
-    instance, so a shard behaves identically no matter which channel
-    carried the message.  ``register`` is **idempotent** for a matching
-    digest -- a respawned or reconnecting endpoint re-seeded from the
-    pool's current specs may see a retried handshake for a model it
-    already holds -- which is exactly the journal-replay semantics the
-    registry's durable log relies on (see
-    :class:`repro.serve.registry.RegistryJournal`).
+    :func:`repro.serve.node.serve_shard` delegates every message to one
+    instance, whether the shard is a local process or a connection to a
+    TCP node.  ``register`` is **idempotent** for a matching digest -- a
+    respawned or reconnecting endpoint re-seeded from the pool's current
+    specs may see a retried handshake for a model it already holds --
+    which is exactly the journal-replay semantics the registry's durable
+    log relies on (see :class:`repro.serve.registry.RegistryJournal`).
     """
 
     __slots__ = ("shard_id", "models", "digests")
@@ -164,8 +169,21 @@ class ShardHost:
             self.digests[name] = digest
         return dict(self.digests)
 
-    def handle(self, message: tuple) -> tuple:
-        """Answer one protocol message; never raises (errors are replies)."""
+    def handle(self, message) -> tuple:
+        """Answer one protocol message; never raises (errors are replies).
+
+        Messages arrive off a socket, so they are untrusted: anything
+        that is not a non-empty list or tuple, or whose fields do not
+        fit its op, is answered with ``("error", text)``.
+        """
+        if not isinstance(message, (list, tuple)) or not message:
+            return ("error", "Malformed shard message %.200r." % (message,))
+        try:
+            return self._handle(tuple(message))
+        except Exception as error:
+            return ("error", "%s: %s" % (type(error).__name__, error))
+
+    def _handle(self, message: tuple) -> tuple:
         from .scheduler import evaluate_batch
 
         op = message[0]
@@ -174,11 +192,11 @@ class ShardHost:
         if op == "ping":
             return ("pong", self.shard_id)
         if op == "batch":
-            # 5-tuple: the pre-tracing wire shape (and the zero-overhead
-            # path for untraced batches).  6-tuple: a trailing trace flag;
-            # the shard then builds its own span fragment — clocks and
-            # objects do not cross the channel — and ships it back beside
-            # the results for the parent to graft under its dispatch span.
+            # 5-tuple: the untraced shape.  6-tuple: a trailing trace
+            # flag; the shard then builds its own span fragment — clocks
+            # and objects do not cross the channel — and ships it back
+            # beside the results for the parent to graft under its
+            # dispatch span.
             name, kind, condition, payloads = message[1:5]
             # JSON framing decodes chain tuples as lists; re-canonicalize
             # so batch evaluation and its duplicate keys see the hashable
@@ -226,43 +244,39 @@ class ShardHost:
             # Live model reload: deserialize the shipped spec, prove
             # round-trip fidelity, and ack with the recomputed digest (the
             # parent refuses the registration unless every shard's ack
-            # matches).
+            # matches).  A load failure becomes an error reply.
             _, name, spec = message
-            try:
-                if name in self.models:
-                    # Idempotent re-register: a respawned shard is
-                    # re-seeded from the pool's current specs, so a
-                    # retried register handshake may find the model
-                    # already loaded.  Ack it when the digest matches;
-                    # a *different* digest under the same name is a
-                    # genuine conflict.
-                    if self.digests.get(name) == spec["digest"]:
-                        return ("registered", self.digests[name])
-                    raise WorkerError(
-                        "Worker %d already has model %r (digest %s != %s)."
-                        % (self.shard_id, name, self.digests.get(name),
-                           spec["digest"])
-                    )
-                model, digest = _load_model_spec(name, spec)
-                self.models[name] = model
-                self.digests[name] = digest
-            except Exception as error:
-                return ("error", "%s: %s" % (type(error).__name__, error))
+            if name in self.models:
+                # Idempotent re-register: a respawned shard is re-seeded
+                # from the pool's current specs, so a retried register
+                # handshake may find the model already loaded.  Ack it
+                # when the digest matches; a *different* digest under the
+                # same name is a genuine conflict.
+                if self.digests.get(name) == spec["digest"]:
+                    return ("registered", self.digests[name])
+                raise WorkerError(
+                    "Worker %d already has model %r (digest %s != %s)."
+                    % (self.shard_id, name, self.digests.get(name),
+                       spec["digest"])
+                )
+            model, digest = _load_model_spec(name, spec)
+            self.models[name] = model
+            self.digests[name] = digest
             return ("registered", digest)
         if op == "unregister":
             _, name = message
             self.models.pop(name, None)
             self.digests.pop(name, None)
             return ("unregistered", name)
-        return ("error", "Unknown worker op %r." % (op,))
+        return ("error", "Unknown worker op %.200r." % (op,))
 
 
 def check_ready(shard_id: int, reply, specs: Dict[str, Dict]) -> None:
     """Verify a shard's ready reply against the parent's expected digests.
 
-    The single digest-ack acceptance rule shared by every transport: the
-    reply must be ``("ready", {name: digest})`` with a digest map equal
-    to the parent's specs; anything else raises :class:`WorkerError`.
+    The digest-ack acceptance rule: the reply must be ``("ready",
+    {name: digest})`` with a digest map equal to the parent's specs;
+    anything else raises :class:`WorkerError`.
     """
     if reply[0] != "ready":
         raise WorkerError(
@@ -277,7 +291,7 @@ def check_ready(shard_id: int, reply, specs: Dict[str, Dict]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Frame codec (TCP).
+# Frame codec.
 # ---------------------------------------------------------------------------
 
 def _json_default(value):
@@ -307,9 +321,13 @@ def encode_frame(obj: Dict) -> bytes:
 
 
 def decode_frame(payload: bytes) -> Dict:
-    data = json.loads(payload.decode("utf-8"))
+    """Parse one frame payload; anything but a JSON object is a WorkerError."""
+    try:
+        data = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as error:  # incl. UnicodeDecodeError
+        raise WorkerError("Undecodable frame: %s." % (error,)) from None
     if not isinstance(data, dict):
-        raise WorkerError("Malformed frame: %r." % (data,))
+        raise WorkerError("Malformed frame: %.200r." % (data,))
     return data
 
 
@@ -324,18 +342,46 @@ def frame_length(header: bytes) -> int:
     return length
 
 
+def read_frame(reader) -> Dict:
+    """Read one frame off a buffered binary stream (``sock.makefile("rb")``).
+
+    Raises ``EOFError`` when the stream ends mid-frame (or before one)
+    and :class:`WorkerError` for an over-bound or undecodable frame.
+    """
+    header = reader.read(4)
+    if len(header) < 4:
+        raise EOFError("Shard connection closed.")
+    length = frame_length(header)
+    payload = reader.read(length)
+    if len(payload) < length:
+        raise EOFError("Shard connection closed mid-frame.")
+    return decode_frame(payload)
+
+
+def encode_reply(reply: tuple) -> bytes:
+    """Frame one shard reply, tagging traced batch replies.
+
+    A traced batch reply is ``("results", (rows, span_payload))`` --
+    JSON cannot distinguish that 2-tuple from a plain row list once
+    flattened, so the frame carries an explicit ``"traced"`` flag for
+    :func:`decode_reply` to key on.
+    """
+    if reply[0] == "results" and isinstance(reply[1], tuple):
+        return encode_frame({"reply": ["results", list(reply[1])], "traced": True})
+    return encode_frame({"reply": list(reply)})
+
+
 def decode_reply(frame: Dict) -> tuple:
-    """Restore the pipe-identical reply tuple from a decoded frame.
+    """Restore the reply tuple from a decoded frame.
 
     JSON flattened the reply tuple (and each result row) to arrays; this
     rebuilds ``("results", [("ok", v), ...])`` — or the traced
     ``("results", (rows, span_payload))`` shape when the frame carries
-    ``"traced": true`` — so pool-side callers cannot tell which
-    transport answered.
+    ``"traced": true``.
     """
     reply = frame.get("reply")
     if not isinstance(reply, list) or not reply:
-        raise WorkerError("Malformed reply frame: %r." % (frame,))
+        raise WorkerError("Malformed reply frame: %.200r." % (frame,))
     if reply[0] == "results":
         body = reply[1]
         if frame.get("traced"):
@@ -361,32 +407,72 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Transports.
+# The channel and its two launchers.
 # ---------------------------------------------------------------------------
 
-class Transport:
-    """The blocking shard-channel contract (driven from executor threads)."""
+def _close_quietly(*handles) -> None:
+    # A socket's fd stays open while a makefile() reader on it does, so
+    # both must close for the peer to see EOF.
+    for handle in handles:
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
 
-    kind = "abstract"
 
-    def launch(self, specs: Dict[str, Dict]) -> None:
-        """Begin bringing the endpoint up (non-blocking part)."""
-        raise NotImplementedError
+class SocketTransport:
+    """One shard behind a connected stream socket, framed JSON both ways.
 
-    def handshake(self, specs: Dict[str, Dict], timeout: float) -> None:
-        """Complete the digest-ack handshake; raises :class:`WorkerError`."""
-        raise NotImplementedError
+    Launchers subclass it: ``_open(timeout)`` returns a socket connected
+    to a fresh :func:`~repro.serve.node.serve_shard` loop, ``restart``
+    says how a dead endpoint comes back, and ``fault_point`` names it.
+    """
+
+    def __init__(self, shard_id: int):
+        self.shard_id = shard_id
+        self._sock: Optional[socket.socket] = None
+        self._reader = None
 
     def start(self, specs: Dict[str, Dict], timeout: float = 120.0) -> None:
-        """Launch + handshake in one call (contract-test convenience)."""
-        self.launch(specs)
-        self.handshake(specs, timeout)
+        """Open the endpoint and run the digest-ack ``hello`` handshake.
+
+        The hello ships the current spec set -- path+digest specs make
+        model shipping a blob verify, payload specs ship the graph -- and
+        the ready reply must ack every digest.  An I/O failure raises
+        :class:`TransportConnectError`; an endpoint that answered and
+        refused raises a plain :class:`WorkerError`.
+        """
+        sock = self._open(timeout)
+        reader = sock.makefile("rb")
+        try:
+            sock.settimeout(timeout)
+            sock.sendall(encode_frame({"msg": ["hello", self.shard_id, specs]}))
+            check_ready(self.shard_id, decode_reply(read_frame(reader)), specs)
+            sock.settimeout(None)
+        except BaseException as error:
+            _close_quietly(reader, sock)
+            self.terminate()
+            if isinstance(error, (OSError, EOFError)):
+                raise TransportConnectError(
+                    "Worker %d %s handshake failed: %s"
+                    % (self.shard_id, self.kind, error)
+                ) from error
+            raise
+        self._sock, self._reader = sock, reader
+
+    def _open(self, timeout: float) -> socket.socket:
+        raise NotImplementedError
 
     def send(self, message: tuple) -> None:
-        raise NotImplementedError
+        if self._sock is None:
+            raise OSError("Shard %d is not connected." % (self.shard_id,))
+        self._sock.sendall(encode_frame({"msg": list(message)}))
 
     def recv(self):
-        raise NotImplementedError
+        if self._reader is None:
+            raise EOFError("Shard %d is not connected." % (self.shard_id,))
+        return decode_reply(read_frame(self._reader))
 
     def request(self, message: tuple):
         """One blocking round trip (callers serialize per shard)."""
@@ -394,113 +480,67 @@ class Transport:
         return self.recv()
 
     def probe(self) -> bool:
-        """Cheap liveness check; ``False`` means the endpoint is gone."""
-        raise NotImplementedError
-
-    def restart(self, specs: Dict[str, Dict], timeout: float) -> None:
-        """Replace a dead endpoint (handshake included); may raise."""
-        raise NotImplementedError
+        """One ping/pong round trip (bounded by :data:`PROBE_TIMEOUT`)."""
+        if self._sock is None:
+            return False
+        try:
+            self._sock.settimeout(PROBE_TIMEOUT)
+            try:
+                reply = self.request(("ping",))
+            finally:
+                self._sock.settimeout(None)
+        except (OSError, EOFError, WorkerError):
+            return False
+        return reply[0] == "pong"
 
     def close(self) -> None:
-        raise NotImplementedError
+        reader, sock = self._reader, self._sock
+        self._reader = self._sock = None
+        _close_quietly(reader, sock)
 
     def terminate(self) -> None:
         """Hard-stop the endpoint (best effort, never raises)."""
-        raise NotImplementedError
+        self.close()
 
     def join(self, timeout: float) -> None:
         """Reap the endpoint after terminate (no-op for remote ones)."""
 
-    def fault_point(self) -> Tuple[int, str, object]:
-        """``(shard_id, kind, pid_or_address)`` for chaos tooling."""
-        raise NotImplementedError
 
-    def describe(self) -> Dict:
-        raise NotImplementedError
+class LocalTransport(SocketTransport):
+    """A spawned shard process serving on one end of a socketpair.
 
-
-class PipeTransport(Transport):
-    """A spawned worker process behind a ``multiprocessing`` pipe.
-
-    Byte-for-byte the pool's historical channel: the same spawn context,
-    the same ``_worker_main`` child (injected as ``target`` so this
-    module stays import-cycle-free), the same ready/digest handshake,
-    and the same blocking ``Connection`` discipline.  ``process`` and
-    ``conn`` stay plain, *settable* attributes -- fault-injection tests
-    wrap ``conn`` to kill the worker mid-send, and supervision replaces
-    both on respawn.
+    The child runs :func:`repro.serve.node.serve_shard` -- the loop a
+    TCP node runs per connection -- and receives its models in the same
+    ``hello`` frame a node gets.  ``restart`` respawns it.
     """
 
-    kind = "pipe"
+    kind = "local"
 
-    def __init__(self, shard_id: int, context, target):
-        self.shard_id = shard_id
-        self._mp_context = context
-        self._target = target
+    def __init__(self, shard_id: int):
+        super().__init__(shard_id)
         self.process = None
-        self.conn = None
 
-    def launch(self, specs: Dict[str, Dict]) -> None:
-        parent_conn, child_conn = self._mp_context.Pipe()
-        process = self._mp_context.Process(
-            target=self._target,
-            args=(self.shard_id, specs, child_conn),
-            name="repro-serve-worker-%d" % (self.shard_id,),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self.process = process
-        self.conn = parent_conn
+    def _open(self, timeout: float) -> socket.socket:
+        from .node import serve_shard
 
-    def handshake(self, specs: Dict[str, Dict], timeout: float) -> None:
-        if not self.conn.poll(timeout):
-            raise WorkerError(
-                "Worker %d did not start in time." % (self.shard_id,)
+        parent, child = socket.socketpair()
+        with child:
+            self.process = _SPAWN.Process(
+                target=serve_shard, args=(child,),
+                name="repro-serve-worker-%d" % (self.shard_id,), daemon=True,
             )
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            raise WorkerError(
-                "Worker %d died before reporting ready." % (self.shard_id,)
-            ) from None
-        check_ready(self.shard_id, reply, specs)
-
-    def send(self, message: tuple) -> None:
-        self.conn.send(message)
-
-    def recv(self):
-        return self.conn.recv()
-
-    def probe(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+            try:
+                self.process.start()
+            except BaseException:
+                parent.close()
+                raise
+        return parent
 
     def restart(self, specs: Dict[str, Dict], timeout: float) -> None:
-        """Respawn the worker process and re-run the digest handshake."""
-        old_process, old_conn = self.process, self.conn
-        try:
-            old_conn.close()
-        except OSError:
-            pass
-        if old_process.is_alive():
-            old_process.terminate()
-        old_process.join(5)
-        self.launch(specs)
-        try:
-            self.handshake(specs, timeout)
-        except BaseException:
-            if self.process.is_alive():
-                self.process.terminate()
-            self.conn.close()
-            self.process, self.conn = old_process, old_conn
-            raise
-
-    def close(self) -> None:
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
+        """Respawn the shard process and re-run the hello handshake."""
+        self.terminate()
+        self.join(5)
+        self.start(specs, timeout)
 
     def terminate(self) -> None:
         if self.process is not None and self.process.is_alive():
@@ -513,44 +553,29 @@ class PipeTransport(Transport):
 
     def fault_point(self) -> Tuple[int, str, object]:
         pid = self.process.pid if self.process is not None else None
-        return (self.shard_id, "pipe", pid)
-
-    def describe(self) -> Dict:
-        return {
-            "kind": "pipe",
-            "pid": self.process.pid if self.process is not None else None,
-        }
+        return (self.shard_id, self.kind, pid)
 
 
-class TcpTransport(Transport):
-    """A shard hosted by a remote :mod:`repro.serve.node` over a socket.
+class TcpTransport(SocketTransport):
+    """A shard hosted by a :mod:`repro.serve.node` process over TCP.
 
-    The same message tuples as the pipe, framed as length-prefixed JSON.
-    ``launch`` is a no-op (the node process is started out of band);
-    ``handshake`` connects and sends ``hello`` with the current spec set
-    -- path+digest specs make model shipping a blob verify, payload
-    specs ship the graph -- and the node's ready reply must ack every
-    digest.  ``restart`` *reconnects* within a bounded window and
-    re-runs the same hello: because spec application is idempotent and
-    digest-verified (journal-replay semantics), a node that was down
-    catches up simply by being handed the pool's current specs again.
+    The node process is started out of band.  ``restart`` *reconnects*
+    within a bounded window and re-runs the same hello: because spec
+    application is idempotent and digest-verified (journal-replay
+    semantics), a node that was down catches up simply by being handed
+    the pool's current specs again.
     """
 
     kind = "tcp"
 
     def __init__(self, address: str, shard_id: int,
                  reconnect_timeout: float = DEFAULT_RECONNECT_TIMEOUT):
+        super().__init__(shard_id)
         self.address = address
         self.host, self.port = parse_address(address)
-        self.shard_id = shard_id
         self.reconnect_timeout = reconnect_timeout
-        self._sock: Optional[socket.socket] = None
-        self._file = None
 
-    def launch(self, specs: Dict[str, Dict]) -> None:
-        pass  # the node process is launched out of band
-
-    def handshake(self, specs: Dict[str, Dict], timeout: float) -> None:
+    def _open(self, timeout: float) -> socket.socket:
         try:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=timeout
@@ -560,81 +585,19 @@ class TcpTransport(Transport):
                 "Worker %d cannot reach node %s: %s"
                 % (self.shard_id, self.address, error)
             ) from error
-        sock.settimeout(timeout)
-        try:
-            sock.sendall(encode_frame({"msg": ["hello", self.shard_id, specs]}))
-            reply = self._read_reply(sock)
-            if reply[0] == "init_error":
-                # Mirror the pipe worker's startup failure shape so the
-                # pool's error handling is transport-blind.
-                raise WorkerError(
-                    "Worker %d failed to start: %s" % (self.shard_id, reply[1])
-                )
-            check_ready(self.shard_id, reply, specs)
-        except (OSError, EOFError) as error:
-            sock.close()
-            raise TransportConnectError(
-                "Worker %d node %s handshake failed: %s"
-                % (self.shard_id, self.address, error)
-            ) from error
-        except BaseException:
-            sock.close()
-            raise
-        sock.settimeout(None)
-        self._sock = sock
-
-    def _read_reply(self, sock: socket.socket) -> tuple:
-        header = self._read_exact(sock, 4)
-        payload = self._read_exact(sock, frame_length(header))
-        return decode_reply(decode_frame(payload))
-
-    @staticmethod
-    def _read_exact(sock: socket.socket, n: int) -> bytes:
-        chunks = []
-        while n:
-            chunk = sock.recv(min(n, 1 << 20))
-            if not chunk:
-                raise EOFError("Node connection closed.")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
-
-    def send(self, message: tuple) -> None:
-        if self._sock is None:
-            raise OSError("Node transport %s is not connected." % (self.address,))
-        self._sock.sendall(encode_frame({"msg": list(message)}))
-
-    def recv(self):
-        if self._sock is None:
-            raise EOFError("Node transport %s is not connected." % (self.address,))
-        return self._read_reply(self._sock)
-
-    def probe(self) -> bool:
-        """One ping/pong round trip (bounded by :data:`PROBE_TIMEOUT`)."""
-        if self._sock is None:
-            return False
-        try:
-            self._sock.settimeout(PROBE_TIMEOUT)
-            try:
-                self.send(("ping",))
-                reply = self.recv()
-            finally:
-                if self._sock is not None:
-                    self._sock.settimeout(None)
-        except (OSError, EOFError):
-            return False
-        return reply[0] == "pong"
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
     def restart(self, specs: Dict[str, Dict], timeout: float) -> None:
         """Reconnect (bounded) and re-handshake; the hello re-ships the
         current specs, so a returning node replays the registry tail."""
         self.close()
-        deadline = time.monotonic() + min(timeout, self.reconnect_timeout)
+        window = min(timeout, self.reconnect_timeout)
+        deadline = time.monotonic() + window
         attempt_timeout = max(0.2, self.reconnect_timeout / 2.0)
-        last_error: Optional[BaseException] = None
         while True:
             try:
-                self.handshake(specs, attempt_timeout)
+                self.start(specs, attempt_timeout)
                 return
             except TransportConnectError as error:
                 last_error = error
@@ -644,49 +607,29 @@ class TcpTransport(Transport):
             if time.monotonic() >= deadline:
                 raise TransportConnectError(
                     "Node %s did not come back within %.1fs: %s"
-                    % (self.address, min(timeout, self.reconnect_timeout),
-                       last_error)
+                    % (self.address, window, last_error)
                 )
             time.sleep(0.05)
 
-    def close(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def terminate(self) -> None:
-        # The node process is not ours to kill: dropping the connection
-        # releases the shard context it hosted for us.
-        self.close()
-
     def fault_point(self) -> Tuple[int, str, object]:
-        return (self.shard_id, "tcp", self.address)
-
-    def describe(self) -> Dict:
-        return {
-            "kind": "tcp",
-            "address": self.address,
-            "connected": self._sock is not None,
-        }
+        return (self.shard_id, self.kind, self.address)
 
 
-#: Everything the sharding layer re-exports for back-compat.
 __all__ = [
     "DEFAULT_RECONNECT_TIMEOUT",
+    "LocalTransport",
     "MAX_FRAME_BYTES",
-    "PipeTransport",
     "ShardHost",
+    "SocketTransport",
     "TcpTransport",
-    "Transport",
     "TransportConnectError",
     "WorkerError",
     "check_ready",
     "decode_frame",
     "decode_reply",
     "encode_frame",
+    "encode_reply",
     "frame_length",
     "parse_address",
+    "read_frame",
 ]

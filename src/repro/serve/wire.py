@@ -242,7 +242,7 @@ def model_spec(registered) -> Dict:
     Content-addressed when the registry attached a compiled blob: the
     spec ships the ``.spz`` path plus digest and every shard mmaps the
     same physical file (one copy of the compiled tables across the whole
-    pool).  Otherwise the full serialized payload crosses the pipe and
+    pool).  Otherwise the full serialized payload crosses the shard socket and
     the shard deserializes its own graph.
     """
     spec = {

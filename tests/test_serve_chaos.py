@@ -11,10 +11,12 @@ The chaos CI lane runs this file.  The acceptance checks it pins:
   against the same journal: the model is queryable with bit-identical
   answers.
 
-Worker kills use real ``SIGKILL`` against :meth:`WorkerPool.worker_pids`
-(the fault-injection hook) -- no cooperation from the victim -- plus a
-wrapper that kills the worker immediately after a batch hits the pipe,
-which makes the "died with a batch in flight" path deterministic.
+Worker kills use real ``SIGKILL`` against the local pids of
+:meth:`WorkerPool.fault_points` (the fault-injection hook) -- no
+cooperation from the victim -- plus a wrapper on the transport's
+``send`` that kills the shard immediately after a batch hits its
+socket, which makes the "died with a batch in flight" path
+deterministic.
 """
 
 import asyncio
@@ -48,30 +50,39 @@ def _gpa_pool(n_workers):
     return pool
 
 
-class _KillAfterSend:
-    """Pipe wrapper that SIGKILLs the worker right after a send lands.
+def local_pids(pool):
+    """Pids of the pool's local shard processes (its killable fault points)."""
+    return [pid for _, kind, pid in pool.fault_points() if kind == "local"]
 
-    Deterministic mid-batch death: the worker is frozen with SIGSTOP
-    *before* the message hits the pipe (so it can never answer first --
-    without the freeze, a fast worker occasionally buffers its reply
+
+class _KillAfterSend:
+    """One-shot ``send`` wrapper that SIGKILLs the shard right after a send lands.
+
+    Deterministic mid-batch death: the shard is frozen with SIGSTOP
+    *before* the message hits its socket (so it can never answer first --
+    without the freeze, a fast shard occasionally writes its reply
     before the SIGKILL lands and no crash is observed), then killed with
     the batch in flight; the parent's blocking ``recv`` observes EOF.
-    The respawned worker gets a fresh, unwrapped pipe, so the resent
-    batch goes through.
+    The wrapper disarms itself as it fires, so the resent batch goes
+    through to the respawned shard.
     """
 
-    def __init__(self, conn, process):
-        self._conn = conn
-        self._process = process
+    def __init__(self, transport):
+        self._transport = transport
+        transport.send = self
 
-    def send(self, message):
-        os.kill(self._process.pid, signal.SIGSTOP)
-        self._conn.send(message)
-        self._process.kill()
-        self._process.join(5)
+    @classmethod
+    def arm(cls, transport):
+        if not isinstance(transport.send, cls):
+            cls(transport)
 
-    def __getattr__(self, name):
-        return getattr(self._conn, name)
+    def __call__(self, message):
+        del self._transport.send  # back to the plain method
+        process = self._transport.process
+        os.kill(process.pid, signal.SIGSTOP)
+        self._transport.send(message)
+        process.kill()
+        process.join(5)
 
 
 class TestWorkerRespawn:
@@ -83,7 +94,7 @@ class TestWorkerRespawn:
                 (before,) = await pool.run_batch(
                     0, "indian_gpa", "logprob", None, ["GPA > 3"]
                 )
-                victim = pool.worker_pids()[0]
+                victim = local_pids(pool)[0]
                 os.kill(victim, signal.SIGKILL)
                 (after,) = await pool.run_batch(
                     0, "indian_gpa", "logprob", None, ["GPA > 3"]
@@ -95,7 +106,7 @@ class TestWorkerRespawn:
                 assert after == ("ok", indian_gpa.model().logprob("GPA > 3"))
                 assert pool.respawns == 1
                 assert pool.requeued_batches == 1
-                assert pool.worker_pids()[0] != victim
+                assert local_pids(pool)[0] != victim
             finally:
                 await pool.close()
 
@@ -106,8 +117,7 @@ class TestWorkerRespawn:
 
         async def main():
             try:
-                worker = pool._workers[0]
-                worker.conn = _KillAfterSend(worker.conn, worker.process)
+                _KillAfterSend.arm(pool._workers[0].transport)
                 events = ["GPA > 3", "GPA > 2", "Nationality == 'India'"]
                 results = await pool.run_batch(
                     0, "indian_gpa", "logprob", None, events
@@ -129,7 +139,7 @@ class TestWorkerRespawn:
         async def main():
             try:
                 await pool.run_batch(0, "indian_gpa", "logprob", None, ["GPA > 3"])
-                os.kill(pool.worker_pids()[1], signal.SIGKILL)
+                os.kill(local_pids(pool)[1], signal.SIGKILL)
                 stats = await pool.shard_stats()
                 assert len(stats) == 2  # the dead shard answered post-respawn
                 await pool.clear_caches()
@@ -153,11 +163,7 @@ class TestWorkerRespawn:
                 def rewrap():
                     # Re-arm the kill wrapper after every respawn, so the
                     # batch murders each replacement too.
-                    current = pool._workers[0]
-                    if not isinstance(current.conn, _KillAfterSend):
-                        current.conn = _KillAfterSend(
-                            current.conn, current.process
-                        )
+                    _KillAfterSend.arm(pool._workers[0].transport)
 
                 original_respawn = pool._respawn
 
@@ -197,7 +203,7 @@ class TestBlobSeededRespawn:
                 (before,) = await pool.run_batch(
                     0, "indian_gpa", "logprob", None, ["GPA > 3"]
                 )
-                victim = pool.worker_pids()[0]
+                victim = local_pids(pool)[0]
                 os.kill(victim, signal.SIGKILL)
                 (after,) = await pool.run_batch(
                     0, "indian_gpa", "logprob", None, ["GPA > 3"]
@@ -211,7 +217,7 @@ class TestBlobSeededRespawn:
         assert after == before
         assert after == ("ok", indian_gpa.model().logprob("GPA > 3"))
         assert pool.respawns == 1
-        assert pool.worker_pids()[0] != victim
+        assert local_pids(pool)[0] != victim
         # The replacement answered from the same mmap'd blob, not a
         # deserialized payload copy.
         compiled = stats[0]["indian_gpa"]["compiled"]
@@ -232,7 +238,7 @@ class TestBlobSeededRespawn:
             host, port = await service.start()
             client = AsyncServeClient(host, port)
             try:
-                os.kill(service.backend.pool.worker_pids()[0], signal.SIGKILL)
+                os.kill(local_pids(service.backend.pool)[0], signal.SIGKILL)
                 requests = mixed_requests()
                 responses = await client.query_many(
                     requests, connections=8, retry_overloaded=8
@@ -306,7 +312,7 @@ class TestPlannedRespawn:
                 (before,) = await pool.run_batch(
                     0, "noisy_or", "logprob", None, [event]
                 )
-                victim = pool.worker_pids()[0]
+                victim = local_pids(pool)[0]
                 os.kill(victim, signal.SIGKILL)
                 (after,) = await pool.run_batch(
                     0, "noisy_or", "logprob", None, [event]
@@ -323,7 +329,7 @@ class TestPlannedRespawn:
         )
         assert after == ("ok", unplanned.logprob(event))  # bit-identical
         assert pool.respawns == 1
-        assert pool.worker_pids()[0] != victim
+        assert local_pids(pool)[0] != victim
         plan_stats = stats[0]["noisy_or"]["plan"]
         assert plan_stats["mode"] == "all"
         assert plan_stats["passes"]["disjoint_factor"]["applied"] >= 1
@@ -349,7 +355,7 @@ class TestChaosUnderOverload:
                      "event": "GPA > %r" % (0.002 * i)}
                     for i in range(4 * bound)
                 ]
-                pids = service.backend.pool.worker_pids()
+                pids = local_pids(service.backend.pool)
 
                 async def kill_one_shard_midway():
                     await asyncio.sleep(0.02)
@@ -460,9 +466,8 @@ class TestTracedRespawn:
             client = AsyncServeClient(host, port)
             try:
                 # Arm the deterministic mid-batch kill: the worker dies
-                # with the (traced) batch on the pipe.
-                worker = service.backend.pool._workers[0]
-                worker.conn = _KillAfterSend(worker.conn, worker.process)
+                # with the (traced) batch on its socket.
+                _KillAfterSend.arm(service.backend.pool._workers[0].transport)
                 response = await client.query({
                     "model": "indian_gpa", "kind": "logprob",
                     "event": "GPA > 3", "trace": True,

@@ -810,7 +810,7 @@ class TestShardedHardening:
                     assert value_of(response) == expected
                 # -- Zero worker crashes -------------------------------------
                 for worker in service._pool._workers:
-                    assert worker.process.is_alive()
+                    assert worker.transport.process.is_alive()
                 stats = await client.stats()
                 assert stats["scheduler"]["shed"] == len(shed)
                 # -- Cross-shard cache clear (satellite) ---------------------

@@ -156,7 +156,7 @@ class TestSessionSurvivesWorkerDeath:
                     )
                     # Kill every shard: whichever one held the session's
                     # warm chain is certainly dead.
-                    for pid in service._pool.worker_pids():
+                    for _, _, pid in service._pool.fault_points():
                         os.kill(pid, signal.SIGKILL)
                     # The very next read replays the chain on a respawned
                     # shard and must agree with the pre-kill posterior.

@@ -1,11 +1,11 @@
 """Transport-contract suite + multi-node serve tests.
 
-One parametrized contract run against both shard transports --
-:class:`PipeTransport` (spawned worker process) and
-:class:`TcpTransport` (remote ``repro.serve.node`` over length-prefixed
-JSON frames): digest-refused handshakes, bit-identical batch round
-trips, liveness probing, and kill/restart recovery must behave
-identically no matter which channel carries the messages.
+One parametrized contract run against both shard launchers --
+:class:`LocalTransport` (spawned shard process on a socketpair) and
+:class:`TcpTransport` (remote ``repro.serve.node`` over TCP), the same
+framed-JSON channel either way: digest-refused handshakes, bit-identical
+batch round trips, liveness probing, and kill/restart recovery must
+behave identically no matter how the shard was launched.
 
 On top of the contract: worker-pool supervision over TCP (kill + resend
 through a reconnect, dead-node marking + batch failover, probe-loop
@@ -17,11 +17,12 @@ sharded differential bit-identical afterwards).
 
 import asyncio
 import math
-import multiprocessing
 import os
+import random
 import re
 import shutil
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -40,8 +41,9 @@ from repro.serve import wire
 from repro.serve.sharding import HashRing
 from repro.serve.sharding import WorkerPool
 from repro.serve.sharding import WorkerPoolBackend
-from repro.serve.sharding import _worker_main
-from repro.serve.transport import PipeTransport
+from repro.serve.transport import MAX_FRAME_BYTES
+from repro.serve.transport import LocalTransport
+from repro.serve.transport import ShardHost
 from repro.serve.transport import TcpTransport
 from repro.serve.transport import TransportConnectError
 from repro.serve.transport import decode_frame
@@ -49,6 +51,7 @@ from repro.serve.transport import decode_reply
 from repro.serve.transport import encode_frame
 from repro.serve.transport import frame_length
 from repro.serve.transport import parse_address
+from repro.serve.transport import read_frame
 from repro.workloads import indian_gpa
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -84,16 +87,18 @@ def start_node(listen="127.0.0.1:0", blob_dir=None):
     return proc, int(match.group(1))
 
 
-class PipeHarness:
-    """Contract-suite driver for the pipe transport."""
+def local_pids(pool):
+    """Pids of the pool's local shard processes (its killable fault points)."""
+    return [pid for _, kind, pid in pool.fault_points() if kind == "local"]
 
-    kind = "pipe"
 
-    def __init__(self):
-        self._context = multiprocessing.get_context("spawn")
+class LocalHarness:
+    """Contract-suite driver for local (spawned) shards."""
+
+    kind = "local"
 
     def make(self, shard_id=0):
-        return PipeTransport(shard_id, self._context, _worker_main)
+        return LocalTransport(shard_id)
 
     def kill_endpoint(self, transport):
         os.kill(transport.process.pid, signal.SIGKILL)
@@ -140,9 +145,9 @@ class TcpHarness:
                 proc.wait(10)
 
 
-@pytest.fixture(params=["pipe", "tcp"])
+@pytest.fixture(params=["local", "tcp"])
 def harness(request):
-    instance = PipeHarness() if request.param == "pipe" else TcpHarness()
+    instance = LocalHarness() if request.param == "local" else TcpHarness()
     yield instance
     instance.cleanup()
 
@@ -268,16 +273,29 @@ class TestTransportContract:
 
 class TestFrameCodec:
     def test_floats_round_trip_bit_exactly(self):
+        """Every shard reply crosses this codec: signed zeros, infinities,
+        NaN, subnormals and a seeded sweep of random bit patterns come
+        back with the same 64 bits."""
         values = [
-            0.1, -1.5e-300, math.pi, float("inf"), float("-inf"),
-            5e-324, 1.7976931348623157e308,
+            0.0, -0.0, float("inf"), float("-inf"), float("nan"),
+            5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+            2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 0.1, -1.5e-300, math.pi,
         ]
+        rng = random.Random(20211)
+        while len(values) < 2000:
+            bits = rng.getrandbits(64)
+            if rng.random() < 0.25:
+                bits &= 0x800FFFFFFFFFFFFF  # zero exponent: a subnormal
+            (value,) = struct.unpack("<d", struct.pack("<Q", bits))
+            if not math.isnan(value):  # JSON carries the one canonical NaN
+                values.append(value)
         frame = encode_frame({"reply": ["results", [["ok", v] for v in values]]})
         decoded = decode_reply(decode_frame(frame[4:]))
-        assert decoded == ("results", [("ok", v) for v in values])
-        nan_frame = encode_frame({"reply": ["results", [["ok", float("nan")]]]})
-        decoded = decode_reply(decode_frame(nan_frame[4:]))
-        assert math.isnan(decoded[1][0][1])
+        assert decoded[0] == "results"
+        assert [row[0] for row in decoded[1]] == ["ok"] * len(values)
+        bits = [struct.pack("<d", v) for v in values]
+        assert [struct.pack("<d", row[1]) for row in decoded[1]] == bits
 
     def test_traced_flag_restores_the_traced_shape(self):
         frame = {"reply": ["results", [[["ok", 1.0]], {"name": "worker.batch"}]],
@@ -296,6 +314,157 @@ class TestFrameCodec:
             parse_address("8144")
         with pytest.raises(ValueError):
             parse_address("host:http")
+
+
+def _random_json(rng, depth=0):
+    """A small random JSON value (seeded)."""
+    choice = rng.randrange(7 if depth < 2 else 5)
+    if choice == 0:
+        return None
+    if choice == 1:
+        return rng.random() < 0.5
+    if choice == 2:
+        return rng.randrange(-10 ** 6, 10 ** 6)
+    if choice == 3:
+        return rng.uniform(-1e9, 1e9)
+    if choice == 4:
+        return "".join(rng.choice("abc GPA><=.'") for _ in range(rng.randrange(8)))
+    if choice == 5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {"k%d" % i: _random_json(rng, depth + 1) for i in range(rng.randrange(3))}
+
+
+def _malformed_messages(rng, count):
+    """Well-framed frames whose message no op accepts (seeded)."""
+    frames = [
+        {"msg": ["batch"]}, {"msg": ["register", "x"]}, {"msg": ["unregister"]},
+        {"msg": []}, {"msg": 5}, {"msg": "batch"}, {"no_msg": 1},
+        {"msg": ["batch", ["unhashable"], "logprob", None, []]},
+        {"msg": ["batch", "indian_gpa", "logprob", None, 7]},
+        {"msg": ["register", "x", "not a spec"]},
+        {"msg": ["register", "x", {"digest": "0"}]},
+        {"msg": [{"op": "ping"}]},
+    ]
+    # Wrong arities for the ops that take arguments, and unknown ops.
+    arities = {"batch": (0, 1, 2, 3), "register": (0, 1, 3, 4), "unregister": (0, 2, 3)}
+    while len(frames) < count:
+        op = rng.choice(["batch", "register", "unregister", "unknown"])
+        if op == "unknown":
+            op = "op-%d" % rng.randrange(1000)
+            arity = rng.randrange(3)
+        else:
+            arity = rng.choice(arities[op])
+        frames.append({"msg": [op] + [_random_json(rng) for _ in range(arity)]})
+    return frames
+
+
+def _fatal_frames(rng):
+    """(label, bytes, half_close) frames that must close their connection.
+
+    ``half_close`` frames are incomplete: the node can only see that
+    they are broken when the client stops writing.
+    """
+    garbage = b"\xff" + bytes(rng.randrange(256) for _ in range(rng.randrange(1, 64)))
+    lying = rng.randrange(64, 4096)
+    return [
+        ("undecodable utf-8", struct.pack(">I", 2) + b"\xff\xfe", False),
+        ("random garbage", struct.pack(">I", len(garbage)) + garbage, False),
+        ("invalid json", struct.pack(">I", 9) + b"{not json", False),
+        ("non-object json", struct.pack(">I", 5) + b"[1,2]", False),
+        ("bare number", struct.pack(">I", 2) + b"42", False),
+        ("too deep", struct.pack(">I", 100000) + b"[" * 100000, False),
+        ("over bound", struct.pack(">I", MAX_FRAME_BYTES + 1), False),
+        ("short length lie", struct.pack(">I", 3) + b'{"msg": ["ping"]}', False),
+        ("truncated header", b"\x00\x00", True),
+        ("length lie", struct.pack(">I", lying) + b'{"msg":', True),
+    ]
+
+
+def _connect(port):
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    return sock, sock.makefile("rb")
+
+
+def _closed_by_peer(reader):
+    try:
+        return reader.read() == b""
+    except ConnectionResetError:  # unread bytes at close turn FIN into RST
+        return True
+
+
+class TestNodeTrustBoundary:
+    """Frames off a socket are untrusted input to a shard endpoint."""
+
+    def test_shard_host_answers_malformed_messages_with_errors(self, chaos_rng):
+        host = ShardHost(0)
+        for frame in _malformed_messages(chaos_rng, 64):
+            reply = host.handle(frame.get("msg"))
+            assert reply[0] == "error" and isinstance(reply[1], str), (frame, reply)
+        for message in [("batch",), ("register", "x"), ("unregister",), (), None]:
+            assert host.handle(message)[0] == "error"
+
+    def test_decode_frame_rejects_what_is_not_a_json_object(self):
+        for payload in [b"\xff\xfe", b"{not json", b"[1,2]", b"42", b"[" * 100000]:
+            with pytest.raises(WorkerError):
+                decode_frame(payload)
+
+    def test_live_node_survives_hostile_frames(self, chaos_rng):
+        """Against a real ``python -m repro.serve.node``: malformed messages
+        get error replies on a connection that keeps working; broken
+        frames (before or after the hello) close only their connection;
+        an attached shard and a fresh connection still answer exactly."""
+        specs = _gpa_specs()
+        expected = ("results", [("ok", indian_gpa.model().logprob("GPA > 3"))])
+        batch = ("batch", "indian_gpa", "logprob", None, ["GPA > 3"])
+        proc, port = start_node()
+        keeper = TcpTransport("127.0.0.1:%d" % port, 0)
+        try:
+            keeper.start(specs, timeout=60)
+
+            sock, reader = _connect(port)
+            with sock, reader:
+                sock.sendall(encode_frame({"msg": ["hello", 1, specs]}))
+                assert decode_reply(read_frame(reader))[0] == "ready"
+                for frame in _malformed_messages(chaos_rng, 64):
+                    sock.sendall(encode_frame(frame))
+                    reply = decode_reply(read_frame(reader))
+                    assert reply[0] == "error", (frame, reply)
+                sock.sendall(encode_frame({"msg": list(batch)}))
+                assert decode_reply(read_frame(reader)) == expected
+
+            # A well-framed hello-less first message is refused, then closed.
+            sock, reader = _connect(port)
+            with sock, reader:
+                sock.sendall(encode_frame({"msg": ["batch"]}))
+                reply = decode_reply(read_frame(reader))
+                assert reply[0] == "init_error" and "hello" in reply[1]
+                assert _closed_by_peer(reader)
+
+            for attached in (False, True):
+                for label, data, half_close in _fatal_frames(chaos_rng):
+                    sock, reader = _connect(port)
+                    with sock, reader:
+                        if attached:
+                            sock.sendall(encode_frame({"msg": ["hello", 2, {}]}))
+                            assert decode_reply(read_frame(reader)) == ("ready", {})
+                        sock.sendall(data)
+                        if half_close:
+                            sock.shutdown(socket.SHUT_WR)
+                        assert _closed_by_peer(reader), label
+
+            assert proc.poll() is None
+            assert keeper.request(batch) == expected
+            fresh = TcpTransport("127.0.0.1:%d" % port, 3)
+            try:
+                fresh.start(specs, timeout=60)
+                assert fresh.request(batch) == expected
+                assert fresh.request(("ping",)) == ("pong", 3)
+            finally:
+                fresh.terminate()
+        finally:
+            keeper.terminate()
+            proc.kill()
+            proc.wait(10)
 
 
 class TestHashRingMembership:
@@ -324,7 +493,7 @@ class TestPoolOverTcp:
         """SIGKILL the node, bring a fresh one up on the same port: the
         pool reconnects within the window, the hello re-ships the specs
         (digest-verified catch-up), and the failed batch is resent --
-        respawn+requeue semantics identical to a killed pipe worker."""
+        respawn+requeue semantics identical to a killed local shard."""
         proc, port = start_node()
         pool = WorkerPool(0, nodes=["127.0.0.1:%d" % port])
         try:
@@ -374,7 +543,7 @@ class TestPoolOverTcp:
                     proc.wait(10)
                     # Routed at the dead TCP shard: reconnect fails within
                     # the bounded window, the shard is marked dead, and
-                    # the batch reroutes to the live pipe shard.
+                    # the batch reroutes to the live local shard.
                     (result,) = await pool.run_batch(
                         1, "indian_gpa", "logprob", None, ["GPA > 3"]
                     )
@@ -510,19 +679,19 @@ class TestProactiveProbe:
 
         async def main():
             try:
-                victim = pool.worker_pids()[0]
+                victim = local_pids(pool)[0]
                 os.kill(victim, signal.SIGKILL)
                 pool._workers[0].transport.process.join(5)
                 await pool.probe_once()
                 # Detected and respawned with no traffic involved.
                 assert pool.probe_failures == 1
                 assert pool.respawns == 1
-                assert pool.worker_pids()[0] != victim
+                assert local_pids(pool)[0] != victim
                 (result,) = await pool.run_batch(
                     0, "indian_gpa", "logprob", None, ["GPA > 3"]
                 )
                 assert result == ("ok", indian_gpa.model().logprob("GPA > 3"))
-                # No batch hit the dead pipe: nothing was requeued.
+                # No batch hit the dead shard: nothing was requeued.
                 assert pool.requeued_batches == 0
             finally:
                 await pool.close()
@@ -572,7 +741,7 @@ class TestProactiveProbe:
             loop = asyncio.get_running_loop()
             worker = pool._workers[0]
             try:
-                os.kill(pool.worker_pids()[0], signal.SIGKILL)
+                os.kill(local_pids(pool)[0], signal.SIGKILL)
                 worker.transport.process.join(5)
                 sweep = asyncio.ensure_future(pool.probe_once())
                 assert await loop.run_in_executor(None, entered.wait, 30)
@@ -604,7 +773,7 @@ class TestProactiveProbe:
 
         async def main():
             loop = asyncio.get_running_loop()
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            os.kill(local_pids(pool)[0], signal.SIGKILL)
             pool._workers[0].transport.process.join(5)
             pool.start_probing()
             try:
@@ -627,7 +796,7 @@ class TestProactiveProbe:
             host, port = await service.start()
             client = AsyncServeClient(host, port)
             try:
-                os.kill(service.backend.pool.worker_pids()[0], signal.SIGKILL)
+                os.kill(local_pids(service.backend.pool)[0], signal.SIGKILL)
                 service.backend.pool._workers[0].transport.process.join(5)
                 await service.backend.pool.probe_once()
                 return await client.metrics()
@@ -639,7 +808,7 @@ class TestProactiveProbe:
 
 
 class TestFaultPoints:
-    def test_fault_points_cover_both_kinds_and_pids_shim_is_pipe_only(self):
+    def test_fault_points_cover_both_kinds(self):
         proc, port = start_node()
         pool = WorkerPool(1, nodes=["127.0.0.1:%d" % port])
         try:
@@ -647,10 +816,9 @@ class TestFaultPoints:
             points = pool.fault_points()
             assert len(points) == 2
             shard0, kind0, pid = points[0]
-            assert (shard0, kind0) == (0, "pipe") and isinstance(pid, int)
+            assert (shard0, kind0) == (0, "local") and isinstance(pid, int)
+            assert pid == pool._workers[0].transport.process.pid
             assert points[1] == (1, "tcp", "127.0.0.1:%d" % port)
-            # The legacy shim lists exactly the killable local pids.
-            assert pool.worker_pids() == [pid]
 
             async def main():
                 await pool.close()
@@ -715,7 +883,7 @@ class TestMultiNodeService:
         assert backend["workers"] == 2 and backend["local_shards"] == 1
         assert backend["live_shards"] == [0, 1]
         nodes = {entry_["address"]: entry_ for entry_ in backend["nodes"]}
-        assert nodes["local"]["kind"] == "pipe" and nodes["local"]["live"]
+        assert nodes["local"]["kind"] == "local" and nodes["local"]["live"]
         remote = nodes["127.0.0.1:%d" % port]
         assert remote["kind"] == "tcp" and remote["live"]
         assert remote["shards"] == [{"shard": 1, "live": True, "respawns": 0}]
