@@ -23,8 +23,8 @@ writing the snapshot it compares against the baseline and exits non-zero
 on a >25% slowdown of any ``translate_s`` or compiled ``logprob_batch``
 probe (with a small absolute grace to ignore sub-millisecond jitter), on
 any compression-ratio regression, or on any bit-identity differential
-mismatch (``bit_identical: false`` — compiled vs interpreted, planned vs
-unplanned, or wire session vs library chain)::
+mismatch (``bit_identical: false`` — compiled vs interpreted, or wire
+session vs library chain)::
 
     PYTHONPATH=src python benchmarks/run_all.py --output BENCH_ci.json \
         --gate BENCH_latest.json
@@ -49,7 +49,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.compiler import TranslationOptions  # noqa: E402
 from repro.compiler import compile_command  # noqa: E402
-from repro.compiler import compile_sppl  # noqa: E402
 from repro.distributions import uniform  # noqa: E402
 from repro.engine import SpplModel  # noqa: E402
 from repro.spe import intern_stats  # noqa: E402
@@ -233,98 +232,6 @@ def bench_compiled_logprob_batch() -> dict:
         }
         model.detach_compiled()
     return rows
-
-
-#: Independent mixture-free product program for the disjoint-scope
-#: conjunction battery: six variables, each its own root-product child,
-#: so a conjunction of per-variable disjunctions factors perfectly.
-_PLAN_BATTERY_SOURCE = "\n".join(
-    "V%d ~ normal(%d, %d)" % (i, i % 3, 1 + i % 2) for i in range(6)
-)
-
-
-def bench_query_plan() -> dict:
-    """The query planner: planned vs unplanned latency.
-
-    Two batteries:
-
-    * ``disjoint_battery`` -- conjunctions of per-variable disjunctions
-      over a six-child root product, evaluated with ``plan="all"``.
-      Unplanned, a width-``w`` conjunction DNF-expands to ``2**w``
-      clauses before the quadratic ``disjoin``; factored, it stays at
-      ``2*w`` clauses, which is where the speedup comes from.  Reports
-      the median per-event speedup (``--gate`` fails below 2x: the ratio
-      is algorithmic, not machine-dependent) and the worst absolute
-      deviation (exact-math rewrites may differ in the last ulp).
-    * ``validated`` -- the mixed Table-1 + HMM text batteries through
-      ``plan="validated"`` (the serve default).  Every answer must be
-      **bit-identical** to the unplanned path -- that is the mode's
-      contract -- and ``--gate`` fails on any mismatch or on a >25%
-      median-normalized planned-latency regression.
-    """
-    spe = compile_sppl(_PLAN_BATTERY_SOURCE)
-    rng = np.random.default_rng(23)
-    events = []
-    for i in range(48):
-        width = 3 + i % 4
-        conjuncts = []
-        for j in range(width):
-            var = "V%d" % ((i + j) % 6)
-            low = float(rng.uniform(-1.0, 0.5))
-            high = float(rng.uniform(0.5, 2.5))
-            conjuncts.append("(%s < %r or %s > %r)" % (var, low, var, high))
-        events.append(" and ".join(conjuncts))
-    unplanned = SpplModel(spe, cache=False)
-    planned = SpplModel(spe, cache=False, plan="all")
-    speedups = []
-    max_abs_diff = 0.0
-    unplanned_s = planned_s = 0.0
-    for event in events:
-        base_t = _best_of(lambda: unplanned.logprob(event))
-        plan_t = _best_of(lambda: planned.logprob(event))
-        unplanned_s += base_t
-        planned_s += plan_t
-        speedups.append(base_t / plan_t if plan_t > 0 else 1.0)
-        max_abs_diff = max(
-            max_abs_diff, abs(unplanned.logprob(event) - planned.logprob(event))
-        )
-    disjoint = {
-        "events": len(events),
-        "mode": "all",
-        "unplanned_s": round(unplanned_s, 4),
-        "planned_s": round(planned_s, 4),
-        "median_speedup": round(float(np.median(speedups)), 2),
-        "max_abs_diff": max_abs_diff,
-    }
-
-    validated = {}
-    loaded = {
-        name: compile_command(builder())
-        for name, builder in [
-            ("noisy_or", table1_models.noisy_or),
-            ("heart_disease", table1_models.heart_disease),
-        ]
-    }
-    loaded["hierarchical_hmm_20"] = hmm.model(20).spe
-    for name, model_spe in loaded.items():
-        battery = _logprob_battery(SpplModel(model_spe, cache=False), 96)
-        base_model = SpplModel(model_spe, cache=False)
-        plan_model = SpplModel(model_spe, cache=False, plan="validated")
-        want = base_model.logprob_batch(battery)
-        got = plan_model.logprob_batch(battery)
-        bit_identical = all(
-            g == w or (g != g and w != w) for g, w in zip(got, want)
-        )
-        base_t = _best_of(lambda: base_model.logprob_batch(battery))
-        plan_t = _best_of(lambda: plan_model.logprob_batch(battery))
-        validated[name] = {
-            "events": len(battery),
-            "unplanned_s": round(base_t, 4),
-            "planned_s": round(plan_t, 4),
-            "speedup": round(base_t / plan_t, 2) if plan_t > 0 else 1.0,
-            "bit_identical": bit_identical,
-        }
-    return {"disjoint_battery": disjoint, "validated": validated}
 
 
 def bench_cache_bound() -> dict:
@@ -904,50 +811,6 @@ def check_gate(snapshot: dict, baseline: dict) -> list:
             "session posterior is not bit-identical to the in-process "
             "condition chain"
         )
-    query_plan = snapshot.get("query_plan", {})
-    for name, row in sorted(query_plan.get("validated", {}).items()):
-        if not row.get("bit_identical", True):
-            failures.append(
-                "planned-vs-unplanned differential mismatch on %r: "
-                "plan='validated' is not bit-identical" % (name,)
-            )
-    disjoint = query_plan.get("disjoint_battery", {})
-    if disjoint and disjoint.get("median_speedup", 0.0) < 2.0:
-        failures.append(
-            "query-plan disjoint-scope battery lost its speedup: median "
-            "%.2fx < 2x (the ratio is algorithmic, not machine noise)"
-            % (disjoint.get("median_speedup", 0.0),)
-        )
-    old_plan = baseline.get("query_plan", {}).get("validated", {})
-    new_plan = query_plan.get("validated", {})
-    plan_ratios = {}
-    for name, old in sorted(old_plan.items()):
-        new = new_plan.get(name)
-        if new is None:
-            failures.append("query_plan benchmark %r missing from snapshot" % name)
-            continue
-        if old["planned_s"] > 0:
-            plan_ratios[name] = new["planned_s"] / old["planned_s"]
-    if plan_ratios:
-        scale = float(np.median(list(plan_ratios.values())))
-        for name, ratio in sorted(plan_ratios.items()):
-            old_t = old_plan[name]["planned_s"]
-            new_t = new_plan[name]["planned_s"]
-            if (
-                ratio > scale * GATE_SLOWDOWN_FACTOR
-                and new_t - old_t * scale > GATE_ABSOLUTE_GRACE_S
-            ):
-                failures.append(
-                    "planned-latency regression on %r: %.4fs -> %.4fs "
-                    "(>%d%% slower than the fleet-median ratio %.2fx)"
-                    % (
-                        name,
-                        old_t,
-                        new_t,
-                        round((GATE_SLOWDOWN_FACTOR - 1) * 100),
-                        scale,
-                    )
-                )
     old_compiled = baseline.get("compiled_logprob_batch", {})
     new_compiled = snapshot.get("compiled_logprob_batch", {})
     compiled_ratios = {}
@@ -1079,8 +942,8 @@ def main() -> int:
         help="compare against a committed BENCH_*.json and exit non-zero on "
         "a >25%% translate_s, compiled-logprob_batch, or local-shard "
         "slowdown, any compression-ratio regression, any bit-identity "
-        "differential mismatch (compiled vs interpreted, planned vs "
-        "unplanned, wire session vs library chain), or a >5%% "
+        "differential mismatch (compiled vs interpreted, wire session vs "
+        "library chain), or a >5%% "
         "tracing-off overhead regression",
     )
     args = parser.parse_args()
@@ -1093,7 +956,6 @@ def main() -> int:
         "sampling": bench_sampling(),
         "transform_sampling": bench_transform_sampling(),
         "compiled_logprob_batch": bench_compiled_logprob_batch(),
-        "query_plan": bench_query_plan(),
         "cache_bound": bench_cache_bound(),
         "repeated_queries": bench_repeated_queries(),
         "posterior_chain": bench_posterior_chain(),

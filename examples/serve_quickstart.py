@@ -9,10 +9,9 @@ Demonstrates the ``repro.serve`` subsystem end to end:
    coalesces them into a handful of batched ``logprob_batch`` calls,
 4. run posterior-chain queries (a ``condition`` field on the wire),
 5. read the stats endpoint (coalescing counters, exact cache hit/miss,
-   per-kind latency percentiles, and per-pass **query-planner**
-   counters — the registry plans every served model in ``validated``
-   mode by default, which only removes exact duplicates, so every query
-   text is answered bit for bit as the library answers it),
+   per-kind latency percentiles) and ask two spellings of one event —
+   every query text is answered bit for bit as the library answers it,
+   under its own result-cache entry,
 6. register a new model on the **live** service (no restart), query it,
    and unregister it again — with a registry **journal** attached, so
    the registration would survive a service restart,
@@ -90,7 +89,7 @@ from repro.workloads import indian_gpa
 
 async def main() -> None:
     # -- 1. Register models ---------------------------------------------------
-    registry = ModelRegistry()  # plans in "validated" mode by default
+    registry = ModelRegistry()
     registry.register_catalog("hmm20")
     registry.register_catalog("noisy_or")
 
@@ -158,14 +157,12 @@ async def main() -> None:
             % (latency["p50_ms"], latency["p95_ms"], latency["p99_ms"], latency["count"])
         )
 
-        # -- 5b. Query-planner statistics ------------------------------------
-        # The registry serves every model with plan="validated": its only
-        # pass removes exact duplicates, so each text is answered bit for
-        # bit as the library answers it.  The first two spellings denote
-        # one event but are two computations (clause order reaches the
-        # final log-sum, so the answers may differ in the last bit), and
-        # each gets its own result-cache entry; asking a spelling again
-        # is a cache hit.
+        # -- 5b. Two spellings, two answers ----------------------------------
+        # Each text is answered bit for bit as the library answers it.
+        # The first two spellings denote one event but are two
+        # computations (clause order reaches the final log-sum, so the
+        # answers may differ in the last bit), and each gets its own
+        # result-cache entry; asking a spelling again is a cache hit.
         for spelling in (
             "disease_0 == 1 or symptom_0 == 1",
             "symptom_0 == 1 or disease_0 == 1",
@@ -176,8 +173,6 @@ async def main() -> None:
             )
             print("  logprob(%s) = %r" % (spelling, value_of(response)))
         stats = await client.stats()
-        plan = stats["backend"]["models"]["noisy_or"]["plan"]
-        print("noisy_or planner: mode=%s passes=%s" % (plan["mode"], plan["passes"]))
         results = stats["scheduler"]["result_cache"]["noisy_or"]
         print(
             "noisy_or result cache: %d hit / %d miss"

@@ -51,6 +51,7 @@ from ..events import Event
 from ..sets import Interval
 from ..sets import interval
 from ..transforms import Identity
+from ..transforms import PolynomialDegreeError
 from ..transforms import Transform
 from ..transforms import exp as exp_transform
 from ..transforms import log as log_transform
@@ -423,7 +424,10 @@ class SpplParser:
         if isinstance(node.op, ast.Div):
             return left / right
         if isinstance(node.op, ast.Pow):
-            return left ** right
+            try:
+                return left ** right
+            except PolynomialDegreeError as error:
+                raise SpplParseError(str(error)) from error
         if isinstance(node.op, ast.FloorDiv):
             return left // right
         if isinstance(node.op, ast.Mod):

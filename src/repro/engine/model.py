@@ -51,9 +51,6 @@ from ..compiler import compile_command
 from ..compiler import compile_sppl
 from ..compiler import render_spe
 from ..events import Event
-from ..plan import QueryPlanner
-from ..plan import execute_condition_chain
-from ..plan import execute_logprob_plan
 from ..spe import Memo
 from ..spe import QueryCache
 from ..spe import SPE
@@ -95,15 +92,10 @@ class SpplModel:
     ``TranslationOptions(dedup=False)`` ablation baselines through the
     model layer.
 
-    ``plan`` routes queries through the query planner
-    (:mod:`repro.plan`): ``"off"`` (default) evaluates every query as
-    written; ``"validated"`` applies only the exact-by-construction
-    batch deduplication, so its answers are bit-identical to ``"off"``
-    however queries are spelled or ordered; ``"all"`` additionally
-    applies every structural rewrite (answers may move by an ulp).
-    Posterior models returned by :meth:`condition` / :meth:`constrain`
-    share their parent's planner (one set of per-pass counters per
-    model family).
+    Every query is evaluated as written: ``prob``/``logprob``, their
+    batched forms and ``condition`` run one traversal of the expression
+    (or the compiled kernel's equivalent sweep), so the library, the
+    serve tier and the kernel return the same answer bit for bit.
     """
 
     def __init__(
@@ -112,7 +104,6 @@ class SpplModel:
         cache: Optional[QueryCache] = None,
         intern: bool = True,
         cache_size: Optional[int] = None,
-        plan: Optional[str] = None,
     ):
         if not isinstance(spe, SPE):
             raise TypeError("SpplModel requires a sum-product expression.")
@@ -138,16 +129,6 @@ class SpplModel:
         else:
             raise TypeError(
                 "cache must be a QueryCache/Memo, None, or False; got %r." % (cache,)
-            )
-        if plan is None:
-            plan = "off"
-        if plan == "off":
-            self._planner: Optional[QueryPlanner] = None
-        elif isinstance(plan, str):
-            self._planner = QueryPlanner(plan)
-        else:
-            raise TypeError(
-                "plan must be 'off', 'validated', or 'all'; got %r." % (plan,)
             )
         self._event_cache: "OrderedDict[str, Event]" = OrderedDict()
         self._event_cache_lock = threading.Lock()
@@ -181,7 +162,6 @@ class SpplModel:
         path,
         cache_size: Optional[int] = None,
         expected_digest: Optional[str] = None,
-        plan: Optional[str] = None,
     ) -> "SpplModel":
         """Load a model from a compiled ``.spz`` blob, mmap-backed.
 
@@ -193,7 +173,7 @@ class SpplModel:
         from ..spe import load_spz
 
         handle = load_spz(path, expected_digest=expected_digest)
-        model = cls(handle.root, cache_size=cache_size, plan=plan)
+        model = cls(handle.root, cache_size=cache_size)
         model._compiled = handle
         return model
 
@@ -293,24 +273,6 @@ class SpplModel:
         """The persistent query cache (None when caching is disabled)."""
         return self._cache
 
-    # -- Query planning -------------------------------------------------------
-
-    @property
-    def planner(self) -> Optional[QueryPlanner]:
-        """The attached :class:`~repro.plan.QueryPlanner` (None when off)."""
-        return self._planner
-
-    @property
-    def plan_mode(self) -> str:
-        """The active plan switch: ``"off"``, ``"validated"``, or ``"all"``."""
-        return "off" if self._planner is None else self._planner.mode
-
-    def plan_stats(self) -> Dict[str, object]:
-        """Per-pass applied/fallback counters (``{"mode": "off"}`` when off)."""
-        if self._planner is None:
-            return {"mode": "off"}
-        return self._planner.stats()
-
     def cache_stats(self) -> Dict[str, int]:
         """Entry counts plus hit/miss/eviction counters of the cache.
 
@@ -333,8 +295,6 @@ class SpplModel:
         if self._logpdf_grouped_batches:
             stats["logpdf_grouped_batches"] = self._logpdf_grouped_batches
             stats["logpdf_grouped_fallbacks"] = self._logpdf_grouped_fallbacks
-        if self._planner is not None:
-            stats["plan"] = self._planner.stats()
         return stats
 
     def _eviction_rate(self, evictions: int) -> float:
@@ -479,19 +439,10 @@ class SpplModel:
 
     def logprob(self, event: EventLike, memo: Memo = None) -> float:
         """Exact log probability of an event."""
-        resolved = self._resolve_event(event)
-        if self._planner is not None:
-            plan = self._planner.plan_logprob(self.spe, resolved)
-            return execute_logprob_plan(self.spe, plan, self._memo(memo))
-        return self.spe.logprob(resolved, memo=self._memo(memo))
+        return self.spe.logprob(self._resolve_event(event), memo=self._memo(memo))
 
     def prob(self, event: EventLike, memo: Memo = None) -> float:
         """Exact probability of an event."""
-        if self._planner is not None:
-            # spe.prob is exp(spe.logprob(...)); routing through
-            # self.logprob keeps the planned and unplanned paths
-            # bit-identical while letting the planner see the query.
-            return math.exp(self.logprob(event, memo=memo))
         return self.spe.prob(self._resolve_event(event), memo=self._memo(memo))
 
     def logprob_batch(self, events: Sequence[EventLike], memo: Memo = None) -> List[float]:
@@ -501,11 +452,6 @@ class SpplModel:
         memo, the batch runs as vectorized columnar sweeps — bit-identical
         to the interpreted traversal, typically an order of magnitude
         faster.  Otherwise the events share one cached traversal pass.
-        With planning enabled the batch is first deduplicated by event
-        identity (exact pass) and each unique event planned individually;
-        factored plans (``plan="all"``) are flattened into the kernel call
-        and their parts recombined with the same running sum the
-        interpreted path uses.
         """
         use_kernel = (
             memo is None and self._compiled is not None and not self._compiled.closed
@@ -522,45 +468,18 @@ class SpplModel:
         self, events: Sequence[EventLike], memo: Memo, use_kernel: bool
     ) -> List[float]:
         resolved = [self._resolve_event(event) for event in events]
-        if self._planner is None:
-            if use_kernel:
-                return self._compiled.logprob_batch(resolved)
-            memo = self._memo(memo)
-            return [self.spe.logprob(event, memo=memo) for event in resolved]
-        unique, back_refs = self._planner.dedup_batch(resolved)
-        plans = [self._planner.plan_logprob(self.spe, event) for event in unique]
         if use_kernel:
-            # Flatten factored plans into one kernel batch, then fold the
-            # per-group columns back with the traversal's running sum.
-            flat: List[Event] = []
-            spans = []
-            for kind, payload in plans:
-                if kind == "event":
-                    spans.append(("event", len(flat)))
-                    flat.append(payload)
-                else:
-                    spans.append(("sum", (len(flat), len(flat) + len(payload))))
-                    flat.extend(payload)
-            values = self._compiled.logprob_batch(flat)
-            uvals: List[float] = []
-            for kind, span in spans:
-                if kind == "event":
-                    uvals.append(values[span])
-                else:
-                    total = 0.0
-                    for index in range(span[0], span[1]):
-                        total = total + values[index]
-                    uvals.append(total)
-        else:
-            memo = self._memo(memo)
-            uvals = [
-                execute_logprob_plan(self.spe, plan, memo) for plan in plans
-            ]
-        return [uvals[index] for index in back_refs]
+            return self._compiled.logprob_batch(resolved)
+        memo = self._memo(memo)
+        return [self.spe.logprob(event, memo=memo) for event in resolved]
 
     def prob_batch(self, events: Sequence[EventLike], memo: Memo = None) -> List[float]:
-        """Exact probabilities of many events in one cached pass."""
-        return [float(np.exp(lp)) for lp in self.logprob_batch(events, memo=memo)]
+        """Exact probabilities of many events in one cached pass.
+
+        Exponentiates with :func:`math.exp`, as :meth:`prob` does, so each
+        entry equals ``prob`` of the same event bit for bit.
+        """
+        return [math.exp(lp) for lp in self.logprob_batch(events, memo=memo)]
 
     def logpdf(self, assignment: Dict[str, object], memo: Memo = None) -> float:
         """Log density of a point assignment to non-transformed variables."""
@@ -646,35 +565,23 @@ class SpplModel:
         return out
 
     def _spawn(self, posterior: SPE) -> "SpplModel":
-        """Wrap a posterior expression, inheriting cache and planner."""
-        child = SpplModel(
+        """Wrap a posterior expression, inheriting the cache."""
+        return SpplModel(
             posterior, cache=self._cache if self._cache is not None else False
         )
-        # Posteriors share the parent's planner (one family, one set of
-        # per-pass counters), not a freshly configured one.
-        child._planner = self._planner
-        return child
 
     def condition(self, event: EventLike) -> "SpplModel":
         """Return a new model for the posterior given a positive-probability event.
 
         The posterior model shares this model's query cache: traversal
         results for sub-expressions common to prior and posterior are
-        reused across the whole ``condition → query`` chain.  With
-        ``plan="all"``, a multi-scope condition is split into a
-        cost-ordered chain of smaller conditions, each restricting only
-        the product children it touches.
+        reused across the whole ``condition → query`` chain.
 
         Raises :class:`~repro.spe.ZeroProbabilityError` (a ``ValueError``)
         when the event has probability zero; the shared cache is left
         uncorrupted (no partial entries) by the failure.
         """
-        resolved = self._resolve_event(event)
-        if self._planner is not None:
-            chain = self._planner.plan_condition(self.spe, resolved)
-            posterior = execute_condition_chain(self.spe, chain, self._memo())
-        else:
-            posterior = self.spe.condition(resolved, memo=self._memo())
+        posterior = self.spe.condition(self._resolve_event(event), memo=self._memo())
         return self._spawn(posterior)
 
     def constrain(self, assignment: Dict[str, object]) -> "SpplModel":

@@ -14,19 +14,9 @@ from .clauses import event_to_clauses
 from .clauses import event_to_disjoint_clauses
 from .clauses import restrict_clause
 from .clauses import solve_clause
-from .normalize import canonical_key
-from .normalize import chain_digest
-from .normalize import event_digest
-from .normalize import normalize_event
-from .normalize import outcome_set_key
 
 __all__ = [
     "Clause",
-    "canonical_key",
-    "chain_digest",
-    "event_digest",
-    "normalize_event",
-    "outcome_set_key",
     "Containment",
     "Conjunction",
     "Disjunction",

@@ -17,7 +17,7 @@ Three pieces, designed to cost nothing when unused:
   slow-query log.
 
 Import discipline: this package imports nothing from ``repro.engine``,
-``repro.plan``, ``repro.spe``, or ``repro.serve`` (those layers all
+``repro.spe``, or ``repro.serve`` (those layers all
 import *it*), so it sits at the bottom of the dependency graph next to
 the stdlib.
 """

@@ -4,12 +4,10 @@ Every counter the serve stack used to keep as an ad-hoc integer
 attribute (scheduler sheds, pool respawns, connection sheds, ...) is now
 an owned :class:`Counter`/:class:`Gauge` instrument registered here
 under a stable dotted name (``repro.scheduler.shed_requests``,
-``repro.pool.respawns``, ...).  The owners keep back-compatible
-attribute reads via properties, ``/v1/stats`` keeps its JSON shape, and
-``GET /metrics`` renders the same instruments — plus scrape-time labeled
+``repro.pool.respawns``, ...).  Owners and tests read the instruments
+themselves, ``/v1/stats`` keeps its JSON shape, and ``GET /metrics`` renders the same instruments — plus scrape-time labeled
 samples for state that lives elsewhere (per-model cache counters,
-per-pass planner outcomes, journal stats) — as Prometheus text
-exposition (version 0.0.4).
+journal stats) — as Prometheus text exposition (version 0.0.4).
 
 Naming scheme: dotted lowercase names, ``repro.<component>.<metric>``;
 dots become underscores in the exposition and counters gain the
@@ -111,7 +109,7 @@ class MetricsRegistry:
     register live histograms and scrape-time gauge callbacks.  The
     service's ``/metrics`` handler calls :meth:`render`, passing any
     labeled samples it gathered from non-owned state (worker shards,
-    planner counters, the journal).
+    the journal).
     """
 
     def __init__(self):

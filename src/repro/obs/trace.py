@@ -3,7 +3,7 @@
 One served request yields one :class:`Trace` — a tree of
 :class:`Span` nodes timed on the monotonic clock — reconstructing the
 path the request actually took: HTTP accept → micro-batch coalesce →
-shard dispatch → planner pass outcomes → engine route (compiled kernel
+shard dispatch → engine route (compiled kernel
 vs interpreted) → cache hits and misses.  The design constraints, in
 order:
 

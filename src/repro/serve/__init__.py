@@ -37,9 +37,9 @@ into the "heavy traffic" deployment shape the ROADMAP targets:
 Observability (see :mod:`repro.obs`): every response line echoes a
 ``trace`` id; sampled requests (``--trace-sample``, or ``"trace": true``
 per request) build a full span tree — HTTP accept, micro-batch
-coalescing, shard dispatch, planner pass outcomes, compiled-vs-
-interpreted engine route, cache hits — retrievable at
-``GET /v1/trace/<id>`` while it lives in the flight-recorder ring.
+coalescing, shard dispatch, compiled-vs-interpreted engine route,
+cache hits — retrievable at ``GET /v1/trace/<id>`` while it lives in
+the flight-recorder ring.
 ``GET /metrics`` renders every counter as Prometheus text exposition,
 and ``--slow-query-ms`` appends a structured JSON line (span tree
 included) for each outlier.

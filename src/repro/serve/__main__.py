@@ -199,22 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="completed traces retained for GET /v1/trace/<id> (default 256)",
     )
-    parser.add_argument(
-        "--plan",
-        default="validated",
-        choices=["off", "validated", "all"],
-        help="query-planner mode for every served model (default "
-        "'validated': only exact batch deduplication, answers bit-identical "
-        "to 'off'; 'off' disables the planner; 'all' also applies every "
-        "structural rewrite, answers may move by an ulp)",
-    )
     return parser
 
 
 def build_registry(args: argparse.Namespace) -> ModelRegistry:
     registry = ModelRegistry(
-        default_cache_size=args.cache_size, blob_dir=args.blob_dir,
-        plan=args.plan,
+        default_cache_size=args.cache_size, blob_dir=args.blob_dir
     )
     for spec in args.model:
         registry.register_catalog(spec)

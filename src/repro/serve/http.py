@@ -255,11 +255,6 @@ class InferenceService:
         #: calls cannot interleave their worker handshakes.
         self._lifecycle_lock = asyncio.Lock()
 
-    @property
-    def connection_sheds(self) -> int:
-        """Back-compatible read of the migrated connection-shed counter."""
-        return self._connection_sheds.value
-
     def worker_specs(self) -> Dict[str, Dict]:
         """Per-model specs handed to worker processes.
 
@@ -1077,7 +1072,7 @@ class InferenceService:
         stats = {
             "scheduler": self.scheduler.stats(),
             "http": {
-                "connection_sheds": self.connection_sheds,
+                "connection_sheds": self._connection_sheds.value,
                 "max_inflight_per_connection": self.max_inflight_per_connection,
             },
             "backend": self.backend.stats_sync(),
@@ -1095,7 +1090,7 @@ class InferenceService:
         """Render ``GET /metrics`` (Prometheus text format 0.0.4).
 
         Registry-owned instruments render directly; per-model cache
-        counters, per-pass planner outcomes, and journal statistics live
+        counters and journal statistics live
         in their owners (the scheduler's result caches, or worker shards
         reached over their sockets) and are gathered here as labeled
         scrape-time samples.
@@ -1140,16 +1135,9 @@ class InferenceService:
     @staticmethod
     def _model_samples(labels: Dict[str, str], model_stats: Dict,
                        counters: List, gauges: List) -> None:
-        """Labeled samples for one model's query-cache / planner statistics."""
+        """Labeled samples for one model's query-cache statistics."""
         for key in ("hits", "misses", "evictions"):
             if key in model_stats:
                 counters.append(
                     ("repro.query_cache." + key, labels, model_stats[key])
                 )
-        for name, bucket in model_stats.get("plan", {}).get("passes", {}).items():
-            for outcome, count in bucket.items():
-                counters.append((
-                    "repro.plan." + outcome,
-                    dict(labels, **{"pass": name}),
-                    count,
-                ))

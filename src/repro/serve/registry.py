@@ -59,7 +59,7 @@ class RegisteredModel:
     """
 
     __slots__ = (
-        "name", "model", "payload", "digest", "cache_size", "blob_path", "plan",
+        "name", "model", "payload", "digest", "cache_size", "blob_path",
     )
 
     def __init__(self, name: str, model: SpplModel, cache_size: Optional[int]):
@@ -69,7 +69,6 @@ class RegisteredModel:
         self.payload = model.to_json()
         self.digest = spe_digest(model.spe)
         self.blob_path = None
-        self.plan = model.plan_mode
 
     def describe(self) -> Dict:
         """Static description for the ``/v1/models`` endpoint."""
@@ -78,7 +77,6 @@ class RegisteredModel:
             "nodes": self.model.size(),
             "digest": self.digest,
             "cache_max_entries": self.cache_size,
-            "plan": self.plan,
         }
         if self.blob_path is not None:
             description["blob_path"] = self.blob_path
@@ -118,30 +116,24 @@ class ModelRegistry:
     the service's total cache memory is the sum over registered models
     (and, with a worker pool, each shard holds its own caches with the
     same per-model budgets).
+
+    ``plan`` is accepted for callers written against the retired query
+    planner: ``"off"`` and ``"validated"`` are both the one query path
+    every model runs, and the value is not stored.  Any other value
+    raises ``ValueError``.
     """
 
     def __init__(
         self,
         default_cache_size: Optional[int] = None,
         blob_dir=None,
-        plan: str = "validated",
+        plan: str = "off",
     ):
         self.default_cache_size = (
             DEFAULT_CACHE_ENTRIES if default_cache_size is None else default_cache_size
         )
-        from ..plan import PLAN_MODES
-
-        if plan not in PLAN_MODES:
-            raise ValueError(
-                "plan must be one of %s; got %r." % (", ".join(PLAN_MODES), plan)
-            )
-        #: Query-planner mode every registered model is wrapped with.  The
-        #: serving default is ``"validated"``: only exact-by-construction
-        #: batch deduplication applies, so a planned service answers bit
-        #: for bit what an unplanned one would, however requests are
-        #: spelled or ordered.  ``"off"`` disables the planner; ``"all"``
-        #: applies every structural rewrite (answers may move by an ulp).
-        self.plan = plan
+        if plan not in ("off", "validated"):
+            raise ValueError("plan must be 'off' or 'validated'; got %r." % (plan,))
         #: When set, every prepared model is compiled into a
         #: content-addressed ``.spz`` blob (``<digest>.spz``) under this
         #: directory and the live model queries through the mmap'd
@@ -180,7 +172,7 @@ class ModelRegistry:
         if not isinstance(model, SpplModel):
             raise TypeError("register() needs an SpplModel, got %r." % (model,))
         budget = self.default_cache_size if cache_size is None else cache_size
-        model = SpplModel(model.spe, cache_size=budget, plan=self.plan)
+        model = SpplModel(model.spe, cache_size=budget)
         registered = RegisteredModel(name, model, budget)
         if self.blob_dir is not None:
             self._attach_blob(registered)

@@ -451,32 +451,6 @@ class MicroBatcher:
         self._latency: Dict[str, LatencyHistogram] = {}
         self._result_caches: Dict[str, ResultCache] = {}
 
-    # Back-compatible attribute reads for the migrated counters.
-
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
-    @property
-    def largest_batch(self) -> int:
-        return self._largest.value
-
-    @property
-    def no_batch_requests(self) -> int:
-        return self._no_batch.value
-
-    @property
-    def shed_requests(self) -> int:
-        return self._shed.value
-
-    @property
-    def tenant_shed_requests(self) -> int:
-        return self._tenant_shed.value
-
     def result_cache(self, model: str) -> ResultCache:
         """``model``'s live result cache (created on first use)."""
         cache = self._result_caches.get(model)
@@ -727,20 +701,19 @@ class MicroBatcher:
 
     def stats(self) -> Dict:
         """Coalescing, shedding, and latency statistics for the stats endpoint."""
+        requests, batches = self._requests.value, self._batches.value
         return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "no_batch_requests": self.no_batch_requests,
-            "shed": self.shed_requests,
-            "tenant_shed": self.tenant_shed_requests,
+            "requests": requests,
+            "batches": batches,
+            "largest_batch": self._largest.value,
+            "no_batch_requests": self._no_batch.value,
+            "shed": self._shed.value,
+            "tenant_shed": self._tenant_shed.value,
             "tenant_sheds": dict(sorted(self.tenant_sheds.items())),
             "queued": sum(self._queued.values()),
             "queued_by_tenant": dict(sorted(self._queued_tenants.items())),
             "max_queued_per_tenant": self.max_queued_per_tenant,
-            "mean_batch_size": round(self.requests / self.batches, 2)
-            if self.batches
-            else 0.0,
+            "mean_batch_size": round(requests / batches, 2) if batches else 0.0,
             "window_s": self.window,
             "max_batch": self.max_batch,
             "max_queued_per_key": self.max_queued_per_key,

@@ -201,8 +201,7 @@ class WorkerPool:
         self._probe_task: Optional[asyncio.Task] = None
         # Supervision counters (event-loop-only mutation), surfaced on
         # ``/v1/stats`` via :meth:`WorkerPoolBackend.stats` and on
-        # ``/metrics``; the old plain-int attributes stay readable
-        # through the property shims below.
+        # ``/metrics``.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._respawns = self.metrics.counter("repro.pool.respawns")
         self._requeued = self.metrics.counter("repro.pool.requeued_batches")
@@ -213,18 +212,6 @@ class WorkerPool:
     def n_shards(self) -> int:
         """Total shard count: local workers plus one per remote node entry."""
         return self.n_workers + len(self.nodes)
-
-    @property
-    def respawns(self) -> int:
-        return self._respawns.value
-
-    @property
-    def requeued_batches(self) -> int:
-        return self._requeued.value
-
-    @property
-    def probe_failures(self) -> int:
-        return self._probe_failures.value
 
     def live_shards(self) -> List[int]:
         """Shard ids currently in the routing ring."""
@@ -696,9 +683,9 @@ class WorkerPoolBackend:
             "mode": "sharded",
             "workers": self.n_shards,
             "local_shards": self.pool.n_workers,
-            "respawns": self.pool.respawns,
-            "requeued_batches": self.pool.requeued_batches,
-            "probe_failures": self.pool.probe_failures,
+            "respawns": self.pool._respawns.value,
+            "requeued_batches": self.pool._requeued.value,
+            "probe_failures": self.pool._probe_failures.value,
             "live_shards": self.pool.live_shards(),
             "nodes": self.pool.node_stats(),
         }

@@ -117,11 +117,9 @@ def _load_model_spec(name: str, spec: Dict):
     from ..spe import spe_from_json
 
     path = spec.get("path")
-    plan = spec.get("plan", "off")  # pre-planner specs default to off
     if path is not None:
         model = SpplModel.from_spz(
-            path, cache_size=spec["cache_size"], expected_digest=spec["digest"],
-            plan=plan,
+            path, cache_size=spec["cache_size"], expected_digest=spec["digest"]
         )
         return model, spec["digest"]
     spe = spe_from_json(spec["payload"])
@@ -131,7 +129,7 @@ def _load_model_spec(name: str, spec: Dict):
             "Round-trip digest mismatch for model %r: parent %s, "
             "worker %s." % (name, spec["digest"], digest)
         )
-    return SpplModel(spe, cache_size=spec["cache_size"], plan=plan), digest
+    return SpplModel(spe, cache_size=spec["cache_size"]), digest
 
 
 class ShardHost:

@@ -248,7 +248,6 @@ def model_spec(registered) -> Dict:
     spec = {
         "digest": registered.digest,
         "cache_size": registered.cache_size,
-        "plan": getattr(registered, "plan", "off"),
     }
     blob_path = getattr(registered, "blob_path", None)
     if blob_path is not None:

@@ -2,12 +2,10 @@
 
 from .analysis import cdf_table
 from .analysis import entropy
-from .analysis import estimate_visited_nodes
 from .analysis import expectation
 from .analysis import marginal_support
 from .analysis import mutual_information
 from .analysis import probability_table
-from .analysis import scope_node_counts
 from .analysis import variance
 from .base import DEFAULT_CACHE_ENTRIES
 from .base import DensityPair
@@ -66,9 +64,7 @@ __all__ = [
     "read_spz_payload",
     "deduplicate",
     "entropy",
-    "estimate_visited_nodes",
     "expectation",
-    "scope_node_counts",
     "factor_shared",
     "factor_sum_of_products",
     "intern",

@@ -210,60 +210,3 @@ def marginal_support(spe: SPE, symbol: str) -> List[object]:
                 stack.append(child)
     return sorted(values, key=lambda v: (isinstance(v, str), v))
 
-
-# ---------------------------------------------------------------------------
-# Scope metadata for the query planner's cost model.
-# ---------------------------------------------------------------------------
-
-def scope_node_counts(spe: SPE) -> Dict[str, int]:
-    """Per-variable node counts: how many graph nodes mention each symbol.
-
-    One iterative walk over the unique nodes of the graph; the counts are
-    the raw material of the planner's visited-node cost estimate (a query
-    touching symbol ``s`` visits every node whose scope contains ``s``,
-    plus sum ancestors that fan the restriction out).
-    """
-    counts: Dict[str, int] = {}
-    seen = set()
-    stack = [spe]
-    while stack:
-        node = stack.pop()
-        if node._uid in seen:
-            continue
-        seen.add(node._uid)
-        for symbol in node.scope:
-            counts[symbol] = counts.get(symbol, 0) + 1
-        if not isinstance(node, Leaf):
-            stack.extend(node.children_nodes())
-    return counts
-
-
-def estimate_visited_nodes(spe: SPE, symbols) -> int:
-    """Estimated node visits for a query touching ``symbols``.
-
-    Counts the unique nodes whose scope intersects the symbol set — the
-    nodes a restricted traversal cannot skip.  Sum nodes fan a multi-scope
-    restriction to every child, so this undercounts repeated visits, but
-    it orders candidate subqueries correctly: a query over a small scope
-    in a deep graph beats one whose symbols thread through everything.
-    """
-    wanted = frozenset(symbols)
-    if not wanted:
-        return 0
-    visited = 0
-    seen = set()
-    stack = [spe]
-    while stack:
-        node = stack.pop()
-        if node._uid in seen:
-            continue
-        seen.add(node._uid)
-        if not (node.scope & wanted):
-            continue
-        visited += 1
-        if not isinstance(node, Leaf):
-            stack.extend(
-                child for child in node.children_nodes()
-                if child.scope & wanted
-            )
-    return visited

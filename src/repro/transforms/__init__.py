@@ -39,7 +39,9 @@ from .base import Transform
 from .identity import Id
 from .identity import Identity
 from .piecewise import Piecewise
+from .polynomial import MAX_POLY_DEGREE
 from .polynomial import Poly
+from .polynomial import PolynomialDegreeError
 from .polynomial import poly_lte
 from .polynomial import poly_roots
 from .polynomial import poly_solve
@@ -66,8 +68,10 @@ __all__ = [
     "Id",
     "Identity",
     "Log",
+    "MAX_POLY_DEGREE",
     "Piecewise",
     "Poly",
+    "PolynomialDegreeError",
     "Radical",
     "Reciprocal",
     "Transform",

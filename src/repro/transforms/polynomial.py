@@ -33,6 +33,24 @@ from .base import Transform
 _ROOT_IMAG_TOL = 1e-9
 _ROOT_DEDUP_TOL = 1e-9
 
+#: Largest degree a polynomial transform may reach.  Solving an
+#: inequality finds the roots of a companion matrix, cubic in the degree,
+#: so an unbounded exponent in event text costs unbounded time and
+#: memory; the shipped programs stay at degree 5 or below.
+MAX_POLY_DEGREE = 64
+
+
+class PolynomialDegreeError(ValueError):
+    """A polynomial transform would exceed :data:`MAX_POLY_DEGREE`."""
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_POLY_DEGREE:
+        raise PolynomialDegreeError(
+            "Polynomial degree %d exceeds the bound of %d."
+            % (degree, MAX_POLY_DEGREE)
+        )
+
 
 def poly_evaluate(coeffs: Sequence[float], x: float) -> float:
     """Evaluate ``sum_i coeffs[i] * x**i`` using Horner's rule."""
@@ -188,6 +206,8 @@ class Poly(Transform):
         if not isinstance(subexpr, Transform):
             raise TypeError("Poly subexpr must be a Transform.")
         coeffs = _strip_coeffs(coeffs)
+        inner_degree = subexpr.degree if isinstance(subexpr, Poly) else 1
+        _check_degree((len(coeffs) - 1) * inner_degree)
         if isinstance(subexpr, Poly):
             coeffs = _poly_compose(coeffs, subexpr.coeffs)
             subexpr = subexpr.subexpr
@@ -309,5 +329,6 @@ def poly_power(t: Transform, exponent: int) -> Transform:
     """Return the transform ``t ** exponent`` for a positive integer exponent."""
     if exponent < 1:
         raise ValueError("poly_power requires a positive integer exponent.")
+    _check_degree(exponent)
     coeffs = [0.0] * exponent + [1.0]
     return Poly(t, coeffs)

@@ -225,6 +225,10 @@ for i in X:
         with pytest.raises(SpplParseError):
             parse_sppl(source)
 
+    def test_polynomial_degree_bound_applies_to_programs(self):
+        with pytest.raises(SpplParseError, match="degree"):
+            parse_sppl("X ~ uniform(0, 2)\nY = X ** 100000")
+
     def test_array_index_must_be_integer(self):
         source = """
 X = array(3)

@@ -68,6 +68,30 @@ class TestQueries:
         with pytest.raises(ValueError):
             model.prob("X <")
 
+    @pytest.mark.parametrize(
+        "event", ["GPA ** 100000 < 1", "(GPA ** 40) ** 40 < 1"]
+    )
+    def test_polynomial_degree_is_bounded(self, event):
+        import time
+
+        from repro.compiler import SpplParseError
+        from repro.workloads import indian_gpa
+
+        gpa = indian_gpa.model()
+        start = time.perf_counter()
+        with pytest.raises(SpplParseError, match="degree"):
+            gpa.logprob(event)
+        assert time.perf_counter() - start < 2.0
+
+    def test_polynomial_at_degree_bound_still_answers(self):
+        from repro.transforms import MAX_POLY_DEGREE
+        from repro.workloads import indian_gpa
+
+        gpa = indian_gpa.model()
+        # GPA is non-negative, so GPA ** d < 1 exactly when GPA < 1.
+        event = "GPA ** %d < 1" % (MAX_POLY_DEGREE,)
+        assert gpa.prob(event) == pytest.approx(gpa.prob("GPA < 1"), abs=1e-9)
+
     def test_invalid_event_type(self, model):
         with pytest.raises(TypeError):
             model.prob(42)
@@ -142,3 +166,206 @@ class TestParseEvent:
     def test_unknown_variable_rejected(self):
         with pytest.raises(Exception):
             parse_event("Q > 1", ["X"])
+
+
+# ---------------------------------------------------------------------------
+# Query identity: every spelling is answered as written, on every route.
+# ---------------------------------------------------------------------------
+
+#: Synthetic product-root program: independent blocks of different sizes
+#: (a mixture block over W/X next to plain leaves).
+INDEPENDENT_SOURCE = """
+W ~ choice({'a': 0.4, 'b': 0.6})
+if W == 'a':
+    X ~ normal(0, 1)
+else:
+    X ~ normal(3, 1)
+Y ~ normal(0, 1)
+Z ~ normal(1, 2)
+U ~ uniform(0, 4)
+M ~ choice({'lo': 0.3, 'mid': 0.4, 'hi': 0.3})
+"""
+
+@pytest.fixture(scope="module")
+def independent_spe():
+    from repro.compiler import compile_sppl
+
+    return compile_sppl(INDEPENDENT_SOURCE)
+
+
+@pytest.fixture(scope="module")
+def served_spes():
+    from repro.compiler import compile_command
+    from repro.workloads import hmm
+    from repro.workloads import table1_models
+
+    return {
+        "noisy_or": compile_command(table1_models.noisy_or()),
+        "heart_disease": compile_command(table1_models.heart_disease()),
+        "hmm20": hmm.model(20).spe,
+    }
+
+
+class TestQueryIdentity:
+    def test_queries_bit_identical_however_ordered(
+        self, independent_spe, served_spes, spelling_batches
+    ):
+        """Every spelling, repeat and arrival order answers what a fresh
+        uncached model answers for that text, bit for bit, on the
+        interpreted and the compiled-kernel route."""
+        spes = dict(served_spes, independent=independent_spe)
+        batches = dict(spelling_batches, independent=[
+            "X < 1 and Y > 0",
+            "Y > 0 and Z < 2 and U < 3",
+            "X < -1 or X > 1",
+            "X < 2 and X < 1",
+            "W == 'a' and Y < 1",
+            "Y > 0 and X < 1",
+            "X < 1 and Y > 0",
+        ])
+        for name, batch in batches.items():
+            spe = spes[name]
+            want = {}
+            for query in batch:
+                plain = SpplModel(spe, cache=False)
+                want[query] = (repr(plain.logprob(query)), repr(plain.prob(query)))
+            for order in (batch, batch[::-1]):
+                expected = [want[query][0] for query in order]
+                cached = SpplModel(spe)
+                for query in order:
+                    assert (
+                        repr(cached.logprob(query)), repr(cached.prob(query))
+                    ) == want[query], (name, query)
+                batched = SpplModel(spe)
+                assert [repr(v) for v in batched.logprob_batch(order)] == expected
+                batched.compile()
+                try:
+                    assert [
+                        repr(v) for v in batched.logprob_batch(order)
+                    ] == expected, name
+                finally:
+                    batched.detach_compiled()
+
+    def test_condition_chain_lands_on_monolithic_posterior(self, independent_spe):
+        """Conditioning on independent scopes one at a time lands on the
+        identical interned node as one monolithic condition."""
+        event = parse_event("X < 1 and Y > 0", independent_spe.scope)
+        monolithic = independent_spe.condition(event)
+        chained = independent_spe
+        for text in ("X < 1", "Y > 0"):
+            chained = chained.condition(parse_event(text, independent_spe.scope))
+        assert chained is monolithic
+
+    def test_equal_conditions_share_one_posterior(self, independent_spe):
+        """Two models conditioning on one text land on the identical
+        interned posterior node."""
+        a = SpplModel(independent_spe, cache=False)
+        b = SpplModel(independent_spe, cache=False)
+        text = "X < 2 and Y > -1 and Z < 3 and U > 1"
+        posterior_a, posterior_b = a.condition(text), b.condition(text)
+        assert posterior_a.spe is posterior_b.spe
+        assert posterior_b.logprob("M == 'mid'") == posterior_a.logprob("M == 'mid'")
+
+    def test_spellings_resolve_to_distinct_events(self, independent_spe):
+        plain = SpplModel(independent_spe, cache=False)
+        a = plain._resolve_event("X < 3 and Y > 1")
+        b = plain._resolve_event("Y > 1 and X < 3")
+        assert a is not b
+
+    def test_kernel_batch_matches_interpreter(self, independent_spe):
+        model = SpplModel(independent_spe, cache=False)
+        plain = SpplModel(independent_spe, cache=False)
+        queries = [
+            "X < 1 and Y > 0",
+            "X < 1 and Y > 0",  # duplicate text in one batch
+            "Y > 0 and Z < 2 and U < 3",
+            "X < -1 or X > 1",
+        ]
+        expected = plain.logprob_batch(queries)
+        assert model.logprob_batch(queries) == expected
+        model.compile()
+        try:
+            assert model.logprob_batch(queries) == expected
+        finally:
+            model.detach_compiled()
+
+    def test_repeated_text_resolves_once(self, independent_spe):
+        model = SpplModel(independent_spe)
+        first = model._resolve_event("X < 1 and Y > 0")
+        assert model._resolve_event("X < 1 and Y > 0") is first
+        batch = ["X < 1 and Y > 0", "U < 3", "X < 1 and Y > 0",
+                 "X < 1 and Y > 0", "U < 3"]
+        plain = SpplModel(independent_spe, cache=False)
+        assert [repr(v) for v in model.logprob_batch(batch)] == [
+            repr(plain.logprob(text)) for text in batch
+        ]
+
+    def test_zero_probability_condition_raises(self, independent_spe):
+        from repro.spe import ZeroProbabilityError
+
+        model = SpplModel(independent_spe, cache=False)
+        with pytest.raises(ZeroProbabilityError):
+            model.condition("Y > 0 and Y < -1")
+
+    def test_prob_is_exp_of_logprob(self, independent_spe):
+        import math
+
+        model = SpplModel(independent_spe, cache=False)
+        lp = model.logprob("X < 1 and Y > 0")
+        assert model.prob("X < 1 and Y > 0") == math.exp(lp)
+
+    @pytest.mark.parametrize("route", ["interpreted", "compiled"])
+    def test_prob_batch_bit_identical_to_prob(self, route):
+        """``prob_batch`` exponentiates exactly as ``prob`` does: numpy's
+        vectorized ``exp`` differs from ``math.exp`` in the last bit on
+        some of these thresholds."""
+        from repro.workloads import indian_gpa
+
+        model = indian_gpa.model()
+        if route == "compiled":
+            model.compile()
+        rng = np.random.default_rng(0)
+        events = ["GPA < %r" % float(x) for x in rng.uniform(0, 10, 400)]
+        events.append("GPA < 3.6883202360367466")
+        try:
+            batch = model.prob_batch(events)
+            assert [repr(v) for v in batch] == [
+                repr(model.prob(event)) for event in events
+            ]
+        finally:
+            model.detach_compiled()
+
+
+class TestRaggedLogpdfBatch:
+    def test_grouped_dispatch_matches_interpreter(self, independent_spe):
+        """A ragged batch (mixed scope signatures) groups per signature,
+        each group through the compiled kernel, bit-identical to the
+        interpreter."""
+        model = SpplModel(independent_spe, cache=False)
+        model.compile()
+        try:
+            rows = [
+                {"X": 0.1, "Y": 0.2},
+                {"X": 0.3},
+                {"Y": -0.4, "Z": 1.0},
+                {"X": 0.5, "Y": -0.1},
+                {"Z": 0.0},
+                {"X": 0.3},
+            ]
+            expected = [independent_spe.logpdf(row) for row in rows]
+            assert model.logpdf_batch(rows) == expected
+            stats = model.cache_stats()
+            assert stats["logpdf_grouped_batches"] == 1
+            assert stats["logpdf_grouped_fallbacks"] == 0
+        finally:
+            model.detach_compiled()
+
+    def test_uniform_batches_skip_grouping(self, independent_spe):
+        model = SpplModel(independent_spe, cache=False)
+        model.compile()
+        try:
+            rows = [{"X": 0.1}, {"X": 0.2}]
+            model.logpdf_batch(rows)
+            assert "logpdf_grouped_batches" not in model.cache_stats()
+        finally:
+            model.detach_compiled()

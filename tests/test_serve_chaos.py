@@ -104,8 +104,8 @@ class TestWorkerRespawn:
                 # digest handshake.
                 assert after == before
                 assert after == ("ok", indian_gpa.model().logprob("GPA > 3"))
-                assert pool.respawns == 1
-                assert pool.requeued_batches == 1
+                assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
+                assert pool.metrics.snapshot()["repro.pool.requeued_batches"] == 1
                 assert local_pids(pool)[0] != victim
             finally:
                 await pool.close()
@@ -126,8 +126,8 @@ class TestWorkerRespawn:
                 assert results == [
                     ("ok", model.logprob(event)) for event in events
                 ]
-                assert pool.respawns == 1
-                assert pool.requeued_batches == 1
+                assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
+                assert pool.metrics.snapshot()["repro.pool.requeued_batches"] == 1
             finally:
                 await pool.close()
 
@@ -143,9 +143,9 @@ class TestWorkerRespawn:
                 stats = await pool.shard_stats()
                 assert len(stats) == 2  # the dead shard answered post-respawn
                 await pool.clear_caches()
-                assert pool.respawns == 1
+                assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
                 # Control ops are not batches: no batch was requeued.
-                assert pool.requeued_batches == 0
+                assert pool.metrics.snapshot()["repro.pool.requeued_batches"] == 0
             finally:
                 await pool.close()
 
@@ -177,7 +177,10 @@ class TestWorkerRespawn:
                     await pool.run_batch(
                         0, "indian_gpa", "logprob", None, ["GPA > 3"]
                     )
-                assert pool.respawns == MAX_RESPAWNS_PER_CALL
+                assert (
+                    pool.metrics.snapshot()["repro.pool.respawns"]
+                    == MAX_RESPAWNS_PER_CALL
+                )
             finally:
                 await pool.close()
 
@@ -216,7 +219,7 @@ class TestBlobSeededRespawn:
         before, after, victim, stats = asyncio.run(main())
         assert after == before
         assert after == ("ok", indian_gpa.model().logprob("GPA > 3"))
-        assert pool.respawns == 1
+        assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
         assert local_pids(pool)[0] != victim
         # The replacement answered from the same mmap'd blob, not a
         # deserialized payload copy.
@@ -287,24 +290,21 @@ def mixed_requests():
     return requests
 
 
-class TestPlannedRespawn:
-    def test_respawned_shard_plans_and_stays_bit_identical(self):
-        """A SIGKILLed shard serving with plan='all' respawns, still
-        plans (its spec carries the mode), and answers a factorable query
-        bit-identically to an unplanned local model."""
+class TestRespawn:
+    def test_respawned_shard_stays_bit_identical(self):
+        """A SIGKILLed shard respawns from its spec and answers a
+        multi-scope query bit-identically to a local library model."""
         from repro.compiler import compile_command
         from repro.engine import SpplModel
         from repro.serve import wire
         from repro.workloads import table1_models
 
-        registry = ModelRegistry(plan="all")
+        registry = ModelRegistry()
         registered = registry.register_catalog("noisy_or")
         spec = wire.model_spec(registered)
-        assert spec["plan"] == "all"
         pool = WorkerPool(1)
         pool.start({"noisy_or": spec})
-        # A conjunction over both root-product children, so the planned
-        # worker actually rewrites it with disjoint_factor.
+        # A conjunction over both root-product children.
         event = "disease_0 == 1 and disease_1 == 1"
 
         async def main():
@@ -317,22 +317,18 @@ class TestPlannedRespawn:
                 (after,) = await pool.run_batch(
                     0, "noisy_or", "logprob", None, [event]
                 )
-                stats = await pool.shard_stats()
-                return before, after, victim, stats
+                return before, after, victim
             finally:
                 await pool.close()
 
-        before, after, victim, stats = asyncio.run(main())
+        before, after, victim = asyncio.run(main())
         assert after == before
-        unplanned = SpplModel(
+        library = SpplModel(
             compile_command(table1_models.noisy_or()), cache=False
         )
-        assert after == ("ok", unplanned.logprob(event))  # bit-identical
-        assert pool.respawns == 1
+        assert after == ("ok", library.logprob(event))  # bit-identical
+        assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
         assert local_pids(pool)[0] != victim
-        plan_stats = stats[0]["noisy_or"]["plan"]
-        assert plan_stats["mode"] == "all"
-        assert plan_stats["passes"]["disjoint_factor"]["applied"] >= 1
 
 
 class TestChaosUnderOverload:

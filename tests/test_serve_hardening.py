@@ -157,7 +157,7 @@ class TestSchedulerBackpressure:
             assert (await batcher.submit(logprob_request("late")))[1] == "late"
 
         run(main())
-        assert batcher.shed_requests == 8
+        assert batcher.metrics.snapshot()["repro.scheduler.shed_requests"] == 8
         stats = batcher.stats()
         assert stats["shed"] == 8
         assert stats["max_queued_per_key"] == 4
@@ -175,7 +175,7 @@ class TestSchedulerBackpressure:
             )
 
         assert len(run(main())) == 50
-        assert batcher.shed_requests == 0
+        assert batcher.metrics.snapshot()["repro.scheduler.shed_requests"] == 0
 
     def test_latency_recorded_per_kind(self):
         backend = GatedBackend()
@@ -771,6 +771,38 @@ def mixed_requests(n=24):
 
 
 class TestShardedHardening:
+    @pytest.mark.parametrize(
+        "event", ["GPA ** 100000 < 1", "(GPA ** 40) ** 40 < 1"]
+    )
+    def test_polynomial_degree_bound_is_a_parse_error(self, event):
+        """An event whose polynomial degree passes the bound fails as a
+        parse error on the shard, which stays up and keeps answering."""
+
+        async def main():
+            registry = ModelRegistry()
+            registry.register_catalog("indian_gpa")
+            service = InferenceService(registry, workers=1, window=0.001)
+            host, port = await service.start()
+            client = AsyncServeClient(host, port)
+            try:
+                before = service.backend.pool.fault_points()
+                rejected = await client.query(
+                    {"model": "indian_gpa", "kind": "logprob", "event": event}
+                )
+                after = service.backend.pool.fault_points()
+                followup = await client.query({
+                    "model": "indian_gpa", "kind": "logprob", "event": "GPA > 3",
+                })
+                return before, rejected, after, followup
+            finally:
+                await service.close()
+
+        before, rejected, after, followup = run(main())
+        assert not rejected["ok"]
+        assert rejected["error_kind"] == "SpplParseError"
+        assert after == before  # the same shard pid answered the next query
+        assert repr(value_of(followup)) == repr(indian_gpa.model().logprob("GPA > 3"))
+
     def test_overload_lifecycle_and_differential_on_two_workers(self):
         bound = 8
 

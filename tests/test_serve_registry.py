@@ -48,6 +48,21 @@ class TestRegistration:
         assert registered.model.cache.max_entries == 123
         assert registered.cache_size == 123
 
+    @pytest.mark.parametrize("plan", ["off", "validated"])
+    def test_plan_keyword_accepted_and_not_stored(self, plan):
+        """``plan`` survives only as a keyword for older callers: both
+        accepted values serve the one query path and reach no model."""
+        registry = ModelRegistry(plan=plan)
+        registered = registry.register_catalog("noisy_or")
+        assert not hasattr(registry, "plan")
+        assert not hasattr(registered, "plan")
+        assert "plan" not in registry.describe()["noisy_or"]
+        assert "plan" not in registered.model.cache_stats()
+
+    def test_plan_keyword_rejects_other_modes(self):
+        with pytest.raises(ValueError):
+            ModelRegistry(plan="all")
+
     def test_per_model_budget_overrides_default(self):
         registry = ModelRegistry(default_cache_size=100)
         registered = registry.register_catalog("indian_gpa", cache_size=7)

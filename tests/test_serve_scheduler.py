@@ -390,6 +390,123 @@ class TestFrontEndResultCache:
         assert batcher.result_cache("m").stats()["entries"] == 0
 
 
+class TestServeResultCacheIdentity:
+    """Every spelling is cached under its own text and answered what a
+    fresh library model answers for that text, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def heart_disease_spe(self):
+        from repro.compiler import compile_command
+        from repro.workloads import table1_models
+
+        return compile_command(table1_models.heart_disease())
+
+    @pytest.fixture(scope="class")
+    def noisy_or_spe(self):
+        from repro.compiler import compile_command
+        from repro.workloads import table1_models
+
+        return compile_command(table1_models.noisy_or())
+
+    def test_answers_independent_of_spelling_order(
+        self, heart_disease_spe, heart_pair
+    ):
+        """Regression: a spelling must not resolve to whichever
+        equivalent spelling arrived first.  Both orders of the pair, on
+        the model and through the scheduler's ResultCache, answer what a
+        fresh model answers for each text."""
+        from repro.engine import SpplModel
+
+        want = {
+            text: repr(SpplModel(heart_disease_spe).logprob(text))
+            for text in heart_pair
+        }
+        assert want[heart_pair[0]] != want[heart_pair[1]]
+        for order in (heart_pair, heart_pair[::-1]):
+            model = SpplModel(heart_disease_spe)
+            for text in order:
+                assert repr(model.logprob(text)) == want[text]
+            batcher = MicroBatcher(
+                ModelBackend(SpplModel(heart_disease_spe)), window=0
+            )
+            answers = submit_in_turn(batcher, "logprob", order)
+            for text, (status, value) in zip(order, answers):
+                assert status == "ok" and repr(value) == want[text]
+            cache = batcher.result_cache("m")
+            assert cache.hits == 0 and cache.misses == 2
+
+    def test_duplicate_misses_evaluate_once(self, noisy_or_spe):
+        from repro.engine import SpplModel
+
+        model = SpplModel(noisy_or_spe)
+        calls = []
+        original = model.logprob_batch
+
+        def counting(events, **kwargs):
+            calls.append(len(events))
+            return original(events, **kwargs)
+
+        model.logprob_batch = counting
+        results = evaluate_batch(
+            model, "logprob", None,
+            ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"],
+        )
+        assert results[0] == results[1] == results[2]
+        # One representative per distinct text reached the engine.
+        assert calls == [2]
+
+    def test_each_spelling_is_its_own_entry(self, noisy_or_spe):
+        """Raw-text keys: a whitespace variant misses and is answered
+        for its own text; asking a text again is a hit."""
+        from repro.engine import SpplModel
+
+        batcher = MicroBatcher(ModelBackend(SpplModel(noisy_or_spe)), window=0)
+        texts = ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"]
+        answers = submit_in_turn(batcher, "logprob", texts)
+        plain = SpplModel(noisy_or_spe)
+        assert [repr(value) for _, value in answers] == [
+            repr(plain.logprob(text)) for text in texts
+        ]
+        cache = batcher.result_cache("m")
+        assert (cache.misses, cache.hits) == (2, 1)
+
+    @pytest.mark.parametrize("name", ["heart_disease", "hmm20", "noisy_or"])
+    def test_served_answers_bit_identical_to_library(self, name, spelling_batches):
+        """End to end through the HTTP service: a pipelined batch of
+        repeated and reordered spellings equals a fresh library model
+        per text."""
+        from repro.engine import SpplModel
+        from repro.serve import AsyncServeClient
+        from repro.serve import InferenceService
+        from repro.serve import ModelRegistry
+
+        registry = ModelRegistry()
+        registered = registry.register_catalog(name)
+        batch = spelling_batches[name]
+
+        async def main():
+            service = InferenceService(registry)
+            host, port = await service.start()
+            try:
+                return await AsyncServeClient(host, port).query_many(
+                    [
+                        {"id": i, "model": name, "kind": "logprob", "event": text}
+                        for i, text in enumerate(batch + batch[::-1])
+                    ],
+                    connections=2,
+                )
+            finally:
+                await service.close()
+
+        responses = run(main())
+        plain = SpplModel(registered.model.spe)
+        want = {text: repr(plain.logprob(text)) for text in batch}
+        for response in responses:
+            assert response["ok"], response
+            text = (batch + batch[::-1])[response["id"]]
+            assert repr(response["value"]) == want[text], (name, text)
+
+
 class TestZeroProbabilityErrorType:
     def test_is_value_error(self):
         assert issubclass(ZeroProbabilityError, ValueError)

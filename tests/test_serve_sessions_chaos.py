@@ -166,7 +166,7 @@ class TestSessionSurvivesWorkerDeath:
                     assert after_kill == before_kill
                 response = await client.observe("fusion", event, tenant="acme")
                 assert response["ok"], response
-            assert service._pool.respawns >= 1
+            assert service._pool.metrics.snapshot()["repro.pool.respawns"] >= 1
             described = await client.describe_session("fusion", tenant="acme")
             assert described["chain"] == script["observes"]
             return [

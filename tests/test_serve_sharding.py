@@ -176,7 +176,7 @@ class TestWorkerPoolLifecycle:
 class TestFrontEndResultCacheDifferential:
     """Repeated queries over a 2-worker service are answered by the
     scheduler's result cache, ``repr``-equal to the first (miss) answer
-    and to a fresh unplanned library model."""
+    and to a fresh library model."""
 
     HOT = [
         {"model": "hmm20", "kind": "logprob", "event": "X[3] < 0.5"},
@@ -197,7 +197,7 @@ class TestFrontEndResultCacheDifferential:
     def library(registry, name):
         from repro.engine import SpplModel
 
-        return SpplModel(registry.get(name).model.spe, plan="off")
+        return SpplModel(registry.get(name).model.spe)
 
     @staticmethod
     def answer(model, request):
@@ -245,7 +245,7 @@ class TestFrontEndResultCacheDifferential:
         first, again, reads, zero, snapshots = asyncio.run(main())
         warm, repeated, observed, after_reads, after_zero = snapshots
         # Hot keys: every repeat is a front-end hit, repr-equal to the
-        # miss and to the unplanned library.
+        # miss and to the library.
         for request, response in zip(hot, first):
             expected = self.answer(self.library(registry, request["model"]), request)
             assert repr(value_of(response)) == repr(expected), request

@@ -520,8 +520,8 @@ class TestPoolOverTcp:
             before, after = asyncio.run(main())
             assert after == before
             assert after == ("ok", indian_gpa.model().logprob("GPA > 3"))
-            assert pool.respawns == 1
-            assert pool.requeued_batches == 1
+            assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
+            assert pool.metrics.snapshot()["repro.pool.requeued_batches"] == 1
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -684,15 +684,15 @@ class TestProactiveProbe:
                 pool._workers[0].transport.process.join(5)
                 await pool.probe_once()
                 # Detected and respawned with no traffic involved.
-                assert pool.probe_failures == 1
-                assert pool.respawns == 1
+                assert pool.metrics.snapshot()["repro.pool.probe_failures"] == 1
+                assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
                 assert local_pids(pool)[0] != victim
                 (result,) = await pool.run_batch(
                     0, "indian_gpa", "logprob", None, ["GPA > 3"]
                 )
                 assert result == ("ok", indian_gpa.model().logprob("GPA > 3"))
                 # No batch hit the dead shard: nothing was requeued.
-                assert pool.requeued_batches == 0
+                assert pool.metrics.snapshot()["repro.pool.requeued_batches"] == 0
             finally:
                 await pool.close()
 
@@ -707,8 +707,8 @@ class TestProactiveProbe:
             try:
                 async with pool._workers[0].lock:
                     await pool.probe_once()  # must not deadlock or count
-                assert pool.probe_failures == 0
-                assert pool.respawns == 0
+                assert pool.metrics.snapshot()["repro.pool.probe_failures"] == 0
+                assert pool.metrics.snapshot()["repro.pool.respawns"] == 0
             finally:
                 await pool.close()
 
@@ -783,7 +783,8 @@ class TestProactiveProbe:
                 await pool.close()
 
         asyncio.run(main())
-        assert pool.respawns == 0  # the cancelled sweep counted nothing
+        # The cancelled sweep counted nothing.
+        assert pool.metrics.snapshot()["repro.pool.respawns"] == 0
         # Exit code 0: the restarted worker got the stop message and
         # exited on its own instead of being terminated as a straggler.
         assert pool._workers[0].transport.process.exitcode == 0

@@ -68,6 +68,16 @@ class TestTransformSerialization:
         with pytest.raises(SerializationError):
             transform_from_dict({"kind": "mystery"})
 
+    def test_payload_polynomial_degree_is_bounded(self):
+        # A shipped payload is a trust boundary too: its coefficients
+        # are checked before any query can solve the polynomial.
+        from repro.transforms import PolynomialDegreeError
+
+        payload = transform_to_dict(X ** 2)
+        payload["coeffs"] = [0.0] * 100000 + [1.0]
+        with pytest.raises(PolynomialDegreeError):
+            transform_from_dict(payload)
+
 
 class TestDistributionSerialization:
     @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from repro.sets import Interval
 from repro.sets import Reals
 from repro.sets import interval
 from repro.transforms import Id
+from repro.transforms import MAX_POLY_DEGREE
 from repro.transforms import Poly
+from repro.transforms import PolynomialDegreeError
 from repro.transforms import poly_lte
 from repro.transforms import poly_roots
 from repro.transforms import poly_solve
@@ -116,6 +118,18 @@ class TestPolyTransform:
         assert isinstance(t, Poly)
         assert t.subexpr.symb_eq(X)
         assert t.coeffs == (1.0, 2.0, 1.0)
+
+    def test_power_degree_is_bounded(self):
+        assert (X ** MAX_POLY_DEGREE).degree == MAX_POLY_DEGREE
+        with pytest.raises(PolynomialDegreeError):
+            X ** (MAX_POLY_DEGREE + 1)
+
+    def test_composed_degree_is_bounded(self):
+        # The bound is on the composed degree, checked before the
+        # coefficients are multiplied out.
+        assert ((X ** 8) ** 8).degree == 64 == MAX_POLY_DEGREE
+        with pytest.raises(PolynomialDegreeError):
+            (X ** 40) ** 40
 
     def test_division_by_scalar(self):
         t = X / 4
