@@ -115,6 +115,18 @@ class SpplParseError(ValueError):
     """Raised when an SPPL source program cannot be parsed or translated."""
 
 
+#: Folded integer constants must fit a float: ``2 ** 1024`` already does not.
+_MAX_CONSTANT_BITS = 1024
+
+
+def _check_constant_bits(bits: int) -> None:
+    if bits > _MAX_CONSTANT_BITS:
+        raise SpplParseError(
+            "Integer constant of at least %d bits is outside the float range."
+            % (bits,)
+        )
+
+
 class SpplParser:
     """Parser translating SPPL source text into the command IR."""
 
@@ -420,13 +432,20 @@ class SpplParser:
         if isinstance(node.op, ast.Sub):
             return left - right
         if isinstance(node.op, ast.Mult):
-            return left * right
+            product = left * right
+            if isinstance(product, int):
+                _check_constant_bits(product.bit_length())
+            return product
         if isinstance(node.op, ast.Div):
             return left / right
         if isinstance(node.op, ast.Pow):
+            if isinstance(left, int) and isinstance(right, int) and right > 0:
+                # |left| ** right >= 2 ** ((bits(|left|) - 1) * right): reject
+                # before Python computes a power of millions of digits.
+                _check_constant_bits((abs(left).bit_length() - 1) * right + 1)
             try:
                 return left ** right
-            except PolynomialDegreeError as error:
+            except (PolynomialDegreeError, OverflowError) as error:
                 raise SpplParseError(str(error)) from error
         if isinstance(node.op, ast.FloorDiv):
             return left // right

@@ -23,22 +23,23 @@ from .base import log_add
 from .base import safe_log
 
 
-def _interval_probability(dist, left: float, right: float) -> float:
+def _interval_probability(dist, left: float, right: float, median: float) -> float:
     """Probability that a scipy continuous variable lies in ``(left, right)``.
 
-    Uses the survival function in the upper tail to retain precision for
-    rare events.
+    Uses the survival function in the upper tail (``left`` at or above
+    ``median``, the distribution's median stored by
+    :class:`RealDistribution`) to retain precision for rare events, the
+    cdf below.  Both endpoints go to scipy in one two-element call.
     """
     if right <= left:
         return 0.0
-    try:
-        median = float(dist.median())
-    except Exception:  # pragma: no cover - defensive for exotic dists
-        median = 0.0
+    ends = np.array((left, right), dtype=float)
     if left >= median:
-        p = float(dist.sf(left)) - float(dist.sf(right))
+        upper = dist.sf(ends)
+        p = float(upper[0]) - float(upper[1])
     else:
-        p = float(dist.cdf(right)) - float(dist.cdf(left))
+        lower = dist.cdf(ends)
+        p = float(lower[1]) - float(lower[0])
     return max(p, 0.0)
 
 
@@ -47,7 +48,8 @@ class RealDistribution(Distribution):
 
     ``dist`` is a frozen ``scipy.stats`` continuous distribution; ``lo`` and
     ``hi`` give the (possibly infinite) truncation interval, which must have
-    positive probability under ``dist``.
+    positive probability under ``dist``.  The median of ``dist`` is computed
+    once here and shared by every truncated copy :meth:`condition` makes.
     """
 
     is_continuous = True
@@ -59,12 +61,29 @@ class RealDistribution(Distribution):
         self.name = name or getattr(getattr(dist, "dist", None), "name", "real")
         if not self.lo < self.hi:
             raise ValueError("RealDistribution requires lo < hi.")
-        self._mass = _interval_probability(dist, self.lo, self.hi)
+        try:
+            self._median = float(dist.median())
+        except Exception:  # pragma: no cover - defensive for exotic dists
+            self._median = 0.0
+        self._mass = _interval_probability(dist, self.lo, self.hi, self._median)
         if self._mass <= 0.0:
             raise ValueError(
                 "Truncation interval [%r, %r] has zero probability." % (lo, hi)
             )
         self._log_mass = math.log(self._mass)
+
+    def _truncated(self, left: float, right: float, mass: float) -> "RealDistribution":
+        """A copy restricted to ``[left, right]``, whose probability under
+        ``dist`` is the already-computed positive ``mass``."""
+        copy = object.__new__(RealDistribution)
+        copy.dist = self.dist
+        copy.lo = float(left)
+        copy.hi = float(right)
+        copy.name = self.name
+        copy._median = self._median
+        copy._mass = mass
+        copy._log_mass = math.log(mass)
+        return copy
 
     # -- Core interface ------------------------------------------------------
 
@@ -101,7 +120,8 @@ class RealDistribution(Distribution):
                 clipped = intersection(piece, self.support())
                 for part in components(clipped):
                     if isinstance(part, Interval):
-                        p = _interval_probability(self.dist, part.left, part.right)
+                        p = _interval_probability(
+                            self.dist, part.left, part.right, self._median)
                         log_terms.append(safe_log(p))
             # Finite real sets and nominal sets have probability zero.
         return log_add(log_terms) - self._log_mass if log_terms else NEG_INF
@@ -115,6 +135,12 @@ class RealDistribution(Distribution):
         return float(self.dist.logpdf(x)) - self._log_mass
 
     def condition(self, values: OutcomeSet) -> List[Tuple[Distribution, float]]:
+        """One truncated copy per interval of ``values`` with positive mass,
+        with its log weight relative to this distribution.
+
+        Each part's probability is computed once: it is both the branch
+        weight and the copy's ``_mass`` (see :meth:`_truncated`).
+        """
         results: List[Tuple[Distribution, float]] = []
         for piece in components(values):
             if not isinstance(piece, Interval):
@@ -123,15 +149,12 @@ class RealDistribution(Distribution):
             for part in components(clipped):
                 if not isinstance(part, Interval):
                     continue
-                log_w = safe_log(
-                    _interval_probability(self.dist, part.left, part.right)
-                ) - self._log_mass
+                p = _interval_probability(
+                    self.dist, part.left, part.right, self._median)
+                log_w = safe_log(p) - self._log_mass
                 if log_w == NEG_INF:
                     continue
-                restricted = RealDistribution(
-                    self.dist, part.left, part.right, name=self.name
-                )
-                results.append((restricted, log_w))
+                results.append((self._truncated(part.left, part.right, p), log_w))
         return results
 
     def constrain(self, value) -> Optional[Tuple[Distribution, float]]:

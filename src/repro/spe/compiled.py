@@ -586,19 +586,17 @@ class CompiledSPE:
         """Resolve batched ``_interval_probability`` requests per row.
 
         Mirrors the scalar helper: the survival function in the upper
-        tail (left at or above the median), the cdf difference below,
-        then ``max(p, 0.0)`` with replace-only-on-strict-greater.
+        tail (left at or above the leaf distribution's stored median, the
+        float the interpreter splits on), the cdf difference below, then
+        ``max(p, 0.0)`` with replace-only-on-strict-greater.
         """
         out: Dict[int, np.ndarray] = {}
         for r, flat in real_reqs.items():
-            dist = self._nodes[r].dist.dist
+            real = self._nodes[r].dist
+            dist = real.dist
             pairs = np.asarray(flat, dtype=float).reshape(-1, 2)
             lefts, rights = pairs[:, 0], pairs[:, 1]
-            try:
-                median = float(dist.median())
-            except Exception:  # pragma: no cover - defensive for exotic dists
-                median = 0.0
-            upper = lefts >= median
+            upper = lefts >= real._median
             p = np.empty(len(lefts))
             if upper.any():
                 p[upper] = (np.asarray(dist.sf(lefts[upper]), dtype=float)

@@ -54,20 +54,20 @@ class Leaf(SPE):
             raise ValueError(
                 "The leaf variable %r may not appear in its own environment." % (symbol,)
             )
-        declared = {symbol} | set(self.env)
+        self._scope: FrozenSet[str] = frozenset({symbol}) | frozenset(self.env)
         for derived, expression in self.env.items():
             free = set(expression.get_symbols())
-            if not free <= declared:
+            if not free <= self._scope:
                 raise ValueError(
                     "Transform for %r mentions undefined variables %s."
-                    % (derived, sorted(free - declared))
+                    % (derived, sorted(free - self._scope))
                 )
 
     # -- Structure -----------------------------------------------------------
 
     @property
     def scope(self) -> FrozenSet[str]:
-        return frozenset({self.symbol}) | frozenset(self.env)
+        return self._scope
 
     def children_nodes(self) -> List[SPE]:
         return []
@@ -109,7 +109,7 @@ class Leaf(SPE):
 
         Returns None when the clause does not constrain this leaf.
         """
-        relevant = [s for s in clause if s in self.scope]
+        relevant = [s for s in clause if s in self._scope]
         if not relevant:
             return None
         pieces = []
@@ -122,7 +122,7 @@ class Leaf(SPE):
         return intersection(*pieces)
 
     def _restrict(self, clause: Clause) -> Clause:
-        return {s: v for s, v in clause.items() if s in self.scope}
+        return {s: v for s, v in clause.items() if s in self._scope}
 
     # -- Inference kernels (invoked by the iterative traversal engine) --------
 

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import given
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.distributions import AtomicDistribution
 from repro.distributions import DiscreteDistribution
@@ -15,20 +19,34 @@ from repro.distributions import atomic
 from repro.distributions import bernoulli
 from repro.distributions import beta
 from repro.distributions import binomial
+from repro.distributions import cauchy
 from repro.distributions import choice
 from repro.distributions import discrete
+from repro.distributions import exponential
 from repro.distributions import gamma
 from repro.distributions import geometric
+from repro.distributions import laplace
 from repro.distributions import log_add
 from repro.distributions import log_subtract
+from repro.distributions import lognormal
 from repro.distributions import normal
 from repro.distributions import poisson
+from repro.distributions import safe_log
+from repro.distributions import student_t
+from repro.distributions import truncated_normal
 from repro.distributions import uniform
 from repro.distributions.factories import scipydist
+from repro.distributions.real import _interval_probability
 from repro.sets import FiniteNominal
 from repro.sets import FiniteReal
+from repro.sets import Interval
+from repro.sets import components
+from repro.sets import intersection
 from repro.sets import interval
 from repro.sets import union
+from repro.spe import Leaf
+from repro.transforms import Id
+from repro.transforms import exp as exp_transform
 
 
 RNG = np.random.default_rng(0)
@@ -259,3 +277,128 @@ class TestFactories:
         assert isinstance(d, RealDistribution)
         d2 = scipydist("poisson", 3.0, lo=0, hi=10)
         assert isinstance(d2, DiscreteDistribution)
+
+
+# ---------------------------------------------------------------------------
+# Conditioning's scipy work: the stored median, the one-call interval
+# probability and the truncated copies, each against the form it replaced.
+# ---------------------------------------------------------------------------
+
+#: Every continuous family of ``distributions/factories.py``.
+CONTINUOUS = {
+    "normal": normal(1.5, 2.0),
+    "uniform": uniform(-1.0, 3.0),
+    "beta": beta(2.0, 5.0, scale=4.0, loc=-1.0),
+    "gamma": gamma(2.5, scale=1.5),
+    "exponential": exponential(0.7),
+    "cauchy": cauchy(0.5, 2.0),
+    "lognormal": lognormal(0.2, 0.8),
+    "student_t": student_t(3.0, loc=-0.5, scale=1.2),
+    "laplace": laplace(1.0, 0.5),
+    "truncated_normal": truncated_normal(0.0, 1.0, -1.0, 2.5),
+    "scipydist": scipydist("logistic", loc=0.3, scale=1.1),
+}
+
+#: Interval endpoints: infinities, the median, ints and floats.
+ENDPOINTS = st.one_of(
+    st.sampled_from([-math.inf, math.inf, "median"]),
+    st.integers(-12, 12),
+    st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def two_call_probability(dist, left, right):
+    """The interval probability as first written: a fresh median, then two
+    scalar scipy calls."""
+    if right <= left:
+        return 0.0
+    try:
+        median = float(dist.median())
+    except Exception:
+        median = 0.0
+    if left >= median:
+        p = float(dist.sf(left)) - float(dist.sf(right))
+    else:
+        p = float(dist.cdf(right)) - float(dist.cdf(left))
+    return max(p, 0.0)
+
+
+def endpoint(value, dist):
+    return dist._median if value == "median" else value
+
+
+def truncated_parent(family, cut):
+    """The family's distribution, or its first truncated copy on ``cut``."""
+    parent = CONTINUOUS[family]
+    if cut is not None:
+        left, right = (endpoint(v, parent) for v in cut)
+        branches = parent.condition(interval(left, right)) if left < right else []
+        if branches:
+            parent = branches[0][0]
+    return parent
+
+
+class TestConditioningScipyWork:
+    @pytest.mark.parametrize("family", sorted(CONTINUOUS))
+    def test_stored_median_is_the_scipy_median(self, family):
+        dist = CONTINUOUS[family]
+        assert repr(dist._median) == repr(float(dist.dist.median()))
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(sorted(CONTINUOUS)), ENDPOINTS, ENDPOINTS)
+    def test_one_call_matches_two_scalar_calls(self, family, left, right):
+        dist = CONTINUOUS[family]
+        left, right = endpoint(left, dist), endpoint(right, dist)
+        one = _interval_probability(dist.dist, left, right, dist._median)
+        two = two_call_probability(dist.dist, left, right)
+        assert repr(one) == repr(two)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(sorted(CONTINUOUS)),
+        st.none() | st.tuples(ENDPOINTS, ENDPOINTS),
+        ENDPOINTS,
+        ENDPOINTS,
+    )
+    def test_truncated_copies_match_fresh_construction(self, family, cut, left, right):
+        parent = truncated_parent(family, cut)
+        left, right = sorted((endpoint(left, parent), endpoint(right, parent)))
+        assume(left < right)
+        target = interval(left, right)
+        parts = [
+            part for part in components(intersection(target, parent.support()))
+            if isinstance(part, Interval)
+            and two_call_probability(parent.dist, part.left, part.right) > 0.0
+        ]
+        branches = parent.condition(target)
+        assert len(branches) == len(parts)
+        for (copy, log_w), part in zip(branches, parts):
+            fresh = RealDistribution(parent.dist, part.left, part.right, name=parent.name)
+            assert copy.dist is parent.dist
+            assert (copy.lo, copy.hi, copy.name) == (fresh.lo, fresh.hi, fresh.name)
+            assert repr(copy._mass) == repr(fresh._mass)
+            assert repr(copy._log_mass) == repr(fresh._log_mass)
+            assert repr(copy._median) == repr(fresh._median)
+            expected = safe_log(
+                two_call_probability(parent.dist, part.left, part.right)
+            ) - parent._log_mass
+            assert repr(log_w) == repr(expected)
+
+    @settings(max_examples=100)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["square", "exp", "shift"]), st.booleans()),
+        max_size=5,
+    ))
+    def test_leaf_scope_is_symbol_and_environment(self, steps):
+        leaf = Leaf("X", normal(0, 1))
+        for k, (kind, on_previous) in enumerate(steps):
+            base = Id("D%d" % (k - 1,)) if on_previous and k else Id("X")
+            expression = {
+                "square": base ** 2, "exp": exp_transform(base), "shift": base + k,
+            }[kind]
+            leaf = Leaf("X", leaf.dist, env=dict(leaf.env, **{"D%d" % (k,): expression}))
+            assert leaf.scope == frozenset({leaf.symbol}) | frozenset(leaf.env)
+        clause = {"X": interval(0, 1), "D0": interval(0, 4), "Y": interval(0, 1)}
+        assert leaf._restrict(clause) == {
+            s: v for s, v in clause.items() if s in {leaf.symbol} | set(leaf.env)
+        }

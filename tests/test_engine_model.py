@@ -83,6 +83,46 @@ class TestQueries:
             gpa.logprob(event)
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            "GPA < 10 ** 3000000",
+            "GPA < 9 * 9 ** 999999 // 9 ** 999998",
+            "GPA < 2 ** 1024",
+            "GPA < " + " * ".join(["9 ** 300"] * 4),
+            "GPA < 10.0 ** 400",
+        ],
+    )
+    def test_constant_folding_is_bounded(self, event):
+        """Folded constants past the float range are parse errors, raised
+        before the integer power is computed."""
+        import time
+
+        from repro.compiler import SpplParseError
+        from repro.workloads import indian_gpa
+
+        gpa = indian_gpa.model()
+        start = time.perf_counter()
+        with pytest.raises(SpplParseError):
+            gpa.logprob(event)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "folded, plain",
+        [
+            ("2 ** 10", "1024"),
+            ("10 ** -3", "0.001"),
+            ("(-2) ** 3", "-8"),
+            ("1 ** 10 ** 300", "1"),
+            ("2 ** 1023 // 2 ** 1021", "4"),
+        ],
+    )
+    def test_constant_folding_within_float_range(self, folded, plain):
+        from repro.workloads import indian_gpa
+
+        gpa = indian_gpa.model()
+        assert gpa.logprob("GPA < " + folded) == gpa.logprob("GPA < " + plain)
+
     def test_polynomial_at_degree_bound_still_answers(self):
         from repro.transforms import MAX_POLY_DEGREE
         from repro.workloads import indian_gpa

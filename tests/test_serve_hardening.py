@@ -770,6 +770,37 @@ def mixed_requests(n=24):
     return requests
 
 
+def assert_parse_error_then_answers(event):
+    """Serve ``event`` on one shard, then ``GPA > 3``: the first fails as a
+    parse error, and the same shard pid answers the second bit-identically
+    to the library."""
+
+    async def main():
+        registry = ModelRegistry()
+        registry.register_catalog("indian_gpa")
+        service = InferenceService(registry, workers=1, window=0.001)
+        host, port = await service.start()
+        client = AsyncServeClient(host, port)
+        try:
+            before = service.backend.pool.fault_points()
+            rejected = await client.query(
+                {"model": "indian_gpa", "kind": "logprob", "event": event}
+            )
+            after = service.backend.pool.fault_points()
+            followup = await client.query({
+                "model": "indian_gpa", "kind": "logprob", "event": "GPA > 3",
+            })
+            return before, rejected, after, followup
+        finally:
+            await service.close()
+
+    before, rejected, after, followup = run(main())
+    assert not rejected["ok"]
+    assert rejected["error_kind"] == "SpplParseError"
+    assert after == before
+    assert repr(value_of(followup)) == repr(indian_gpa.model().logprob("GPA > 3"))
+
+
 class TestShardedHardening:
     @pytest.mark.parametrize(
         "event", ["GPA ** 100000 < 1", "(GPA ** 40) ** 40 < 1"]
@@ -777,31 +808,15 @@ class TestShardedHardening:
     def test_polynomial_degree_bound_is_a_parse_error(self, event):
         """An event whose polynomial degree passes the bound fails as a
         parse error on the shard, which stays up and keeps answering."""
+        assert_parse_error_then_answers(event)
 
-        async def main():
-            registry = ModelRegistry()
-            registry.register_catalog("indian_gpa")
-            service = InferenceService(registry, workers=1, window=0.001)
-            host, port = await service.start()
-            client = AsyncServeClient(host, port)
-            try:
-                before = service.backend.pool.fault_points()
-                rejected = await client.query(
-                    {"model": "indian_gpa", "kind": "logprob", "event": event}
-                )
-                after = service.backend.pool.fault_points()
-                followup = await client.query({
-                    "model": "indian_gpa", "kind": "logprob", "event": "GPA > 3",
-                })
-                return before, rejected, after, followup
-            finally:
-                await service.close()
-
-        before, rejected, after, followup = run(main())
-        assert not rejected["ok"]
-        assert rejected["error_kind"] == "SpplParseError"
-        assert after == before  # the same shard pid answered the next query
-        assert repr(value_of(followup)) == repr(indian_gpa.model().logprob("GPA > 3"))
+    @pytest.mark.parametrize(
+        "event", ["GPA < 10 ** 3000000", "GPA < 9 * 9 ** 999999 // 9 ** 999998"]
+    )
+    def test_constant_folding_bound_is_a_parse_error(self, event):
+        """A folded integer constant past the float range fails as a parse
+        error on the shard, which stays up and keeps answering."""
+        assert_parse_error_then_answers(event)
 
     def test_overload_lifecycle_and_differential_on_two_workers(self):
         bound = 8

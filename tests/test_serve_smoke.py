@@ -16,9 +16,15 @@ wire:
 * the ``/v1/stats`` backend and per-node sections describe the
   placement;
 * SIGINT shuts the front end, then the node, down cleanly (exit 0).
+
+A third test boots the CLI with the session flags and drives a session
+over raw HTTP and the blocking client: every posterior read of a
+10-observe ``hmm_sensor_fusion`` script is bit-identical to the in-process
+:class:`~repro.engine.PosteriorChain`.
 """
 
 import asyncio
+import http.client
 import os
 import re
 import signal
@@ -28,10 +34,14 @@ import sys
 import pytest
 
 import repro
+from repro.engine import PosteriorChain
 from repro.serve import AsyncServeClient
 from repro.serve import ModelRegistry
+from repro.serve import ServeClient
 from repro.serve import value_of
+from repro.workloads import hmm
 from repro.workloads import indian_gpa
+from repro.workloads import scenarios
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -193,3 +203,68 @@ def test_serve_smoke(placement, tmp_path):
     assert front_exit == 0
     if node is not None:
         assert node_exit == 0
+
+
+def _http(port, method, path, body=None, tenant=None):
+    """One raw HTTP exchange (what ``curl -sf`` checks): (status, body text)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        connection.request(
+            method, path, body=body, headers={"x-tenant": tenant} if tenant else {}
+        )
+        response = connection.getresponse()
+        return response.status, response.read().decode()
+    finally:
+        connection.close()
+
+
+def test_cli_session_smoke():
+    """The CLI with session flags: raw-wire create/observe/describe, a
+    10-observe session bit-identical to the library chain, the session
+    gauges on ``/metrics``, teardown via DELETE and a clean SIGINT exit."""
+    front, port = _launch(
+        ["repro.serve", "--model", "hmm5", "--workers", "2", "--port", "0",
+         "--max-sessions", "64", "--session-ttl-s", "600",
+         "--max-sessions-per-tenant", "8", "--max-queued-per-tenant", "64"],
+        r"repro.serve listening on [^ ]*:(\d+)",
+    )
+    try:
+        created = _http(port, "POST", "/v1/sessions",
+                        '{"session":"probe","model":"hmm5"}', tenant="curl")
+        observed = _http(port, "POST", "/v1/sessions/probe/observe",
+                         '{"event":"X[0] < 0.5"}', tenant="curl")
+        described = _http(port, "GET", "/v1/sessions/probe", tenant="curl")
+
+        script = scenarios.hmm_sensor_fusion(5, seed=0)
+        client = ServeClient("127.0.0.1", port, tenant="ci")
+        client.create_session("fusion", "hmm5")
+        observes = [client.observe("fusion", event) for event in script["observes"]]
+        wire = [client.session_logprob("fusion", query) for query in script["queries"]]
+        chain = client.describe_session("fusion")["chain"]
+
+        metrics = _http(port, "GET", "/metrics")
+        deleted = _http(port, "DELETE", "/v1/sessions/fusion", tenant="ci")
+        listed = _http(port, "GET", "/v1/sessions", tenant="ci")
+    finally:
+        front_exit = _interrupt(front)
+
+    assert created[0] == 200 and '"session":"probe"' in created[1], created
+    assert observed[0] == 200 and '"ok":true' in observed[1], observed
+    assert described[0] == 200 and '"observes":1' in described[1], described
+
+    assert len(script["observes"]) == 10
+    for response in observes:
+        assert response["ok"], response
+    with PosteriorChain(hmm.model(5), script["observes"]) as library_chain:
+        library = [library_chain.current.logprob(query) for query in script["queries"]]
+    assert wire == library, (wire, library)
+    assert chain == script["observes"]
+
+    assert metrics[0] == 200
+    lines = metrics[1].splitlines()
+    assert any(line.startswith("repro_sessions_open ") for line in lines)
+    assert 'repro_sessions_open_by_tenant{tenant="ci"}' in metrics[1]
+    assert deleted[0] == 200 and '"deleted":true' in deleted[1], deleted
+    assert listed[0] == 200 and '"sessions":[]' in listed[1], listed
+
+    assert front_exit == 0
