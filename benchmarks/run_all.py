@@ -300,22 +300,21 @@ def bench_posterior_chain() -> dict:
 def bench_serve_throughput() -> dict:
     """``repro.serve`` micro-batching: concurrent coalesced vs sequential.
 
-    Starts an in-process inference service (asyncio front-end, default
-    2 ms / 256-request coalescing window) on ``hmm20`` and replays the
-    same 256 distinct single-event ``logprob`` requests three ways over
-    the real HTTP wire path:
+    Starts an in-process inference service (asyncio front-end, idle
+    dispatch, 256-request batch bound) on ``hmm20`` and replays the same
+    256 distinct single-event ``logprob`` requests two ways over the real
+    HTTP wire path:
 
     * **concurrent** -- all 256 in flight at once over 32 pipelined
       connections (best of 3 passes),
-    * **sequential** -- one at a time through the default path,
-    * **sequential no_batch** -- one at a time with the window bypassed.
+    * **sequential** -- one at a time through the default path.
 
     One untimed concurrent pass first computes every answer (coalesced
     into a few ``logprob_batch`` calls; ``mean_batch_size`` reports it).
     Every timed request repeats a warmed query, so the scheduler's
-    result cache answers it at submit: the sequential passes are cache
-    hits, not batches of one waiting out the coalescing window, and all
-    three passes time the wire and the front end, not inference.
+    result cache answers it at submit: the sequential pass is cache
+    hits, not batches of one, and both passes time the wire and the
+    front end, not inference.
     ``speedup`` is sequential/concurrent; ``coalesced_qps`` is the
     concurrent throughput.
     """
@@ -326,14 +325,11 @@ def bench_serve_throughput() -> dict:
     from repro.serve import ModelRegistry
 
     n_requests = 256
-    window_s = 0.002
 
     async def run():
         registry = ModelRegistry()
         registry.register_catalog("hmm20")
-        service = InferenceService(
-            registry, workers=0, window=window_s, max_batch=n_requests
-        )
+        service = InferenceService(registry, workers=0, max_batch=n_requests)
         host, port = await service.start()
         client = AsyncServeClient(host, port)
         requests = [
@@ -357,18 +353,14 @@ def bench_serve_throughput() -> dict:
             [await timed(client.query_many(requests, connections=32)) for _ in range(3)]
         )
         sequential_s = await timed(client.query_seq(requests))
-        sequential_no_batch_s = await timed(client.query_seq(requests, no_batch=True))
         stats = await client.stats()
         await service.close()
         return {
             "requests": n_requests,
-            "window_ms": window_s * 1e3,
             "workers": 0,
             "concurrent_s": round(concurrent_s, 4),
             "sequential_s": round(sequential_s, 4),
-            "sequential_no_batch_s": round(sequential_no_batch_s, 4),
             "speedup": round(sequential_s / concurrent_s, 1),
-            "speedup_no_batch": round(sequential_no_batch_s / concurrent_s, 1),
             "coalesced_qps": round(n_requests / concurrent_s),
             "mean_batch_size": stats["scheduler"]["mean_batch_size"],
         }
@@ -399,7 +391,7 @@ def bench_serve_overload() -> dict:
         registry = ModelRegistry()
         registry.register_catalog("indian_gpa")
         service = InferenceService(
-            registry, workers=0, window=0.001, max_batch=16,
+            registry, workers=0, max_batch=16,
             max_queued_per_key=bound,
         )
         host, port = await service.start()
@@ -458,7 +450,7 @@ def bench_serve_chaos() -> dict:
     async def run():
         registry = ModelRegistry()
         registry.register_catalog("indian_gpa")
-        service = InferenceService(registry, workers=2, window=0.001, max_batch=32)
+        service = InferenceService(registry, workers=2, max_batch=32)
         host, port = await service.start()
         client = AsyncServeClient(host, port)
         requests = [
@@ -699,13 +691,12 @@ def bench_obs_overhead() -> dict:
     from repro.serve import ModelRegistry
 
     n_requests = 256
-    window_s = 0.002
 
     async def measure(trace_sample: float) -> float:
         registry = ModelRegistry()
         registry.register_catalog("hmm20")
         service = InferenceService(
-            registry, workers=0, window=window_s, max_batch=n_requests,
+            registry, workers=0, max_batch=n_requests,
             trace_sample=trace_sample,
         )
         host, port = await service.start()
@@ -735,7 +726,6 @@ def bench_obs_overhead() -> dict:
         full_s = await measure(1.0)
         return {
             "requests": n_requests,
-            "window_ms": window_s * 1e3,
             "workers": 0,
             "off_s": round(off_s, 4),
             "sampled_s": round(sampled_s, 4),

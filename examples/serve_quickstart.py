@@ -4,7 +4,8 @@ Demonstrates the ``repro.serve`` subsystem end to end:
 
 1. register models (workloads catalog + a model serialized to disk),
 2. start an in-process :class:`~repro.serve.InferenceService`
-   (asyncio HTTP front-end with a 2 ms coalescing window),
+   (asyncio HTTP front-end; a batch key dispatches as soon as it is
+   idle, and requests arriving while its batch computes join the next),
 3. fire a burst of concurrent single-event queries — the scheduler
    coalesces them into a handful of batched ``logprob_batch`` calls,
 4. run posterior-chain queries (a ``condition`` field on the wire),
@@ -105,7 +106,7 @@ async def main() -> None:
         # next startup (the CLI equivalent is --registry-journal PATH).
         journal = RegistryJournal(Path(tmp) / "registry.journal")
         journal.restore(registry)
-        service = InferenceService(registry, workers=0, window=0.002, journal=journal)
+        service = InferenceService(registry, workers=0, journal=journal)
         host, port = await service.start()
         client = AsyncServeClient(host, port)
         print("serving %s on %s:%d" % (", ".join(registry.names()), host, port))
@@ -304,7 +305,7 @@ async def main() -> None:
         registry = ModelRegistry()
         registry.register_catalog("hmm20")
         service = InferenceService(
-            registry, workers=1, nodes=[address], window=0.002
+            registry, workers=1, nodes=[address]
         )
         host, port = await service.start()
         client = AsyncServeClient(host, port)

@@ -87,6 +87,7 @@ def binspace(low: float, high: float, n: int) -> List[Interval]:
     """Partition ``[low, high]`` into ``n`` equal-width intervals (Lst. 4)."""
     if n < 1:
         raise ValueError("binspace requires at least one bin.")
+    _check_sequence_length(n)
     edges = [low + (high - low) * i / n for i in range(n + 1)]
     bins = []
     for i in range(n):
@@ -119,6 +120,28 @@ class SpplParseError(ValueError):
 _MAX_CONSTANT_BITS = 1024
 
 
+#: Longest ``range``, ``binspace`` or repeated or concatenated sequence an
+#: expression may build: event text runs in the serving process.
+_MAX_SEQUENCE_LENGTH = 10 ** 6
+_SEQUENCES = (list, tuple, str)
+
+
+def _check_sequence_length(length) -> None:
+    if length > _MAX_SEQUENCE_LENGTH:
+        raise SpplParseError("Sequence of %s items exceeds the limit of %d."
+                             % (length, _MAX_SEQUENCE_LENGTH))
+
+
+def _bounded_range(*args) -> range:
+    """``range`` that refuses more than ``_MAX_SEQUENCE_LENGTH`` items."""
+    values = range(*args)
+    try:
+        _check_sequence_length(len(values))
+    except OverflowError:  # more items than a machine word can count
+        _check_sequence_length(math.inf)
+    return values
+
+
 def _check_constant_bits(bits: int) -> None:
     if bits > _MAX_CONSTANT_BITS:
         raise SpplParseError(
@@ -142,7 +165,7 @@ class SpplParser:
                 "log": log_transform,
                 "abs": abs,
                 "binspace": binspace,
-                "range": range,
+                "range": _bounded_range,
                 "len": len,
                 "min": min,
                 "max": max,
@@ -428,10 +451,15 @@ class SpplParser:
         left = self._eval(node.left)
         right = self._eval(node.right)
         if isinstance(node.op, ast.Add):
+            if isinstance(left, _SEQUENCES) and isinstance(right, _SEQUENCES):
+                _check_sequence_length(len(left) + len(right))
             return left + right
         if isinstance(node.op, ast.Sub):
             return left - right
         if isinstance(node.op, ast.Mult):
+            for items, count in ((left, right), (right, left)):
+                if isinstance(items, _SEQUENCES) and isinstance(count, int):
+                    _check_sequence_length(len(items) * count)
             product = left * right
             if isinstance(product, int):
                 _check_constant_bits(product.bit_length())

@@ -97,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8144, help="0 picks a free port")
-    parser.add_argument(
-        "--window-ms", type=float, default=2.0, help="micro-batch coalescing window"
-    )
     parser.add_argument("--max-batch", type=int, default=256, help="max requests per batch")
     parser.add_argument(
         "--cache-size", type=int, default=None, help="per-model query-cache entry budget"
@@ -281,7 +278,6 @@ async def run(args: argparse.Namespace) -> int:
     service = InferenceService(
         registry,
         workers=workers,
-        window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         host=args.host,
         port=args.port,

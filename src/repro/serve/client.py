@@ -7,10 +7,10 @@ client over ``asyncio.open_connection`` that knows how to
 * fire a stream of queries **concurrently** over a pool of pipelined
   keep-alive connections (:meth:`query_many`) -- the shape that lets the
   server's micro-batcher coalesce them, and
-* replay the same stream **sequentially and unbatched**
-  (:meth:`query_seq`) -- one request on the wire at a time, each flagged
-  ``no_batch`` -- which is the baseline the throughput benchmark compares
-  against.
+* replay the same stream **sequentially** (:meth:`query_seq`) -- one
+  request on the wire at a time, so each finds its batch key idle and is
+  dispatched alone at once -- which is the baseline the throughput
+  benchmark compares against.
 
 :class:`ServeClient` is a blocking facade over the async client for
 scripts and examples (each call runs its own short event loop).
@@ -256,24 +256,17 @@ class AsyncServeClient:
         await asyncio.gather(*[run_chunk(chunk) for chunk in chunks if chunk])
         return results  # type: ignore[return-value]
 
-    async def query_seq(
-        self, requests: Sequence[Dict], no_batch: bool = False
-    ) -> List[Dict]:
+    async def query_seq(self, requests: Sequence[Dict]) -> List[Dict]:
         """Replay requests one at a time (the sequential baseline).
 
         A single connection, strict request -> response -> next request
-        discipline: each request is alone in the service, so it is
-        evaluated in a batch of one after the coalescing window elapses.
-        ``no_batch=True`` additionally flags every request to bypass the
-        window (immediate single evaluation), isolating the pure wire
-        cost from the batching latency trade-off.
+        discipline: each request is alone in the service, so its batch
+        key is idle and it is evaluated at once in a batch of one.
         """
         connection = await _Connection.open(self.host, self.port)
         results = []
         try:
             for request in requests:
-                if no_batch:
-                    request = dict(request, no_batch=True)
                 results.append(await self.query(request, connection=connection))
         finally:
             await connection.close()
@@ -459,8 +452,8 @@ class ServeClient:
             )
         )
 
-    def query_seq(self, requests: Sequence[Dict], no_batch: bool = False) -> List[Dict]:
-        return self._run(self._async.query_seq(requests, no_batch=no_batch))
+    def query_seq(self, requests: Sequence[Dict]) -> List[Dict]:
+        return self._run(self._async.query_seq(requests))
 
     def logprob(self, model: str, event: str, condition: Optional[str] = None) -> float:
         request = {"model": model, "kind": "logprob", "event": event}

@@ -155,7 +155,6 @@ class InferenceService:
         self,
         registry: ModelRegistry,
         workers: int = 0,
-        window: float = 0.002,
         max_batch: int = 256,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -219,7 +218,6 @@ class InferenceService:
             self.backend = InProcessBackend(registry)
         self.scheduler = MicroBatcher(
             self.backend,
-            window=window,
             max_batch=max_batch,
             max_queued_per_key=max_queued_per_key,
             max_queued_per_tenant=max_queued_per_tenant,
@@ -792,7 +790,6 @@ class InferenceService:
             request = wire.Request(
                 None, session.model, "observe", {"event": event},
                 condition=wire.normalize_condition(chain),
-                no_batch=bool(data.get("no_batch")),
                 trace=bool(data.get("trace")),
                 tenant=tenant, affinity=session.affinity,
             )

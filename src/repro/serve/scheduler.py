@@ -5,25 +5,23 @@ key** ``(model, kind, condition, shard)`` and evaluated with one
 :meth:`~repro.engine.SpplModel.logprob_batch` /
 :meth:`~repro.engine.SpplModel.logpdf_batch` call per group, inside one
 :meth:`~repro.engine.SpplModel.query_scope` so the cache bound cannot
-evict entries mid-batch.  A group flushes when either
-
-* the **window** elapses (default 2 ms, measured from the group's first
-  request; ``window=0`` still coalesces every request submitted in the
-  same event-loop iteration), or
-* the group reaches **max_batch** requests (default 256), or
-* a request carries ``no_batch`` (it forms an immediate batch of one --
-  the "sequential unbatched" baseline path used by benchmarks).
+evict entries mid-batch.  Groups form by **idle dispatch**, batching while
+the backend is busy, never by the clock: a key with no batch in flight
+flushes its new group on the next event-loop tick (same-tick requests
+still share it; no timer runs), a busy key's arrivals form one group
+that flushes when the batch in flight returns, and any group flushes at
+once on reaching **max_batch** requests (default 256).
 
 Ahead of all that sits one :class:`ResultCache` per model: a request
 whose ``(kind, condition, event)`` was answered before is replayed from
-it at submit, with no batch, window, backend call or transport, and each
+it at submit, with no batch, backend call or transport, and each
 ``"ok"`` answer a batch computes is written back into the cache its
 request was looked up in.
 
 The scheduler never blocks the event loop on inference: batches run on a
 backend (in-process thread executor, or a sharded worker pool), so
-request intake overlaps evaluation, which is where the coalescing
-throughput win comes from.
+request intake overlaps evaluation, and the longer a batch computes, the
+more requests the next one coalesces.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from typing import Dict
 from typing import List
 from typing import Optional
 from typing import Sequence
+from typing import Set
 
 from collections import OrderedDict
 
@@ -349,8 +348,7 @@ class InProcessBackend:
 
 
 class _PendingBatch:
-    __slots__ = ("requests", "futures", "spans", "stores", "timer", "flushed",
-                 "batch_id")
+    __slots__ = ("requests", "futures", "spans", "stores", "batch_id")
 
     def __init__(self, batch_id: int):
         self.requests: List = []
@@ -362,8 +360,6 @@ class _PendingBatch:
         # at submit (None for uncacheable requests), parallel to
         # ``requests``.
         self.stores: List = []
-        self.timer = None
-        self.flushed = False
         self.batch_id = batch_id
 
 
@@ -400,7 +396,6 @@ class MicroBatcher:
     def __init__(
         self,
         backend,
-        window: float = 0.002,
         max_batch: int = 256,
         max_queued_per_key: Optional[int] = DEFAULT_MAX_QUEUED_PER_KEY,
         metrics: Optional[MetricsRegistry] = None,
@@ -408,27 +403,24 @@ class MicroBatcher:
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be positive.")
-        if window < 0:
-            raise ValueError("window must be non-negative.")
         if max_queued_per_key is not None and max_queued_per_key < 1:
             raise ValueError("max_queued_per_key must be positive or None.")
         if max_queued_per_tenant is not None and max_queued_per_tenant < 1:
             raise ValueError("max_queued_per_tenant must be positive or None.")
         self.backend = backend
-        self.window = window
         self.max_batch = max_batch
         self.max_queued_per_key = max_queued_per_key
         self.max_queued_per_tenant = max_queued_per_tenant
+        # Per batch key: the group taking requests, and the tasks of its
+        # batches in flight (absent = idle; the loop holds tasks weakly).
         self._pending: Dict[tuple, _PendingBatch] = {}
+        self._running: Dict[tuple, Set[asyncio.Task]] = {}
         # Counters are registry instruments (single-threaded: only
         # touched on the event loop); the old plain-int attributes stay
         # readable through the property shims below.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._requests = self.metrics.counter("repro.scheduler.requests")
         self._batches = self.metrics.counter("repro.scheduler.batches")
-        self._no_batch = self.metrics.counter(
-            "repro.scheduler.no_batch_requests"
-        )
         self._shed = self.metrics.counter("repro.scheduler.shed_requests")
         self._tenant_shed = self.metrics.counter(
             "repro.scheduler.tenant_shed_requests"
@@ -569,22 +561,30 @@ class MicroBatcher:
         )
         start = loop.time()
         try:
-            if request.no_batch:
-                self._no_batch.inc()
-                pending = self._new_pending()
-                self._enqueue(pending, request, future, shard, store)
-                self._launch(key, pending)
-            else:
-                pending = self._pending.get(key)
-                if pending is None:
-                    pending = self._new_pending()
-                    self._pending[key] = pending
-                    pending.timer = loop.call_later(
-                        self.window, self._flush, key, pending
+            pending = self._pending.get(key)
+            if pending is None:
+                self._batch_seq += 1
+                pending = self._pending[key] = _PendingBatch(self._batch_seq)
+                if key not in self._running:
+                    # Idle key: dispatch on the next tick.  A busy key's
+                    # group waits for the batch in flight to return.
+                    loop.call_soon(self._flush, key, pending)
+            pending.requests.append(request)
+            pending.futures.append(future)
+            pending.stores.append(store)
+            if isinstance(request.trace, Trace):
+                pending.spans.append(
+                    request.trace.start_span(
+                        "scheduler.queue",
+                        model=request.model,
+                        kind=request.kind,
+                        shard=shard,
                     )
-                self._enqueue(pending, request, future, shard, store)
-                if len(pending.requests) >= self.max_batch:
-                    self._flush(key, pending)
+                )
+            else:
+                pending.spans.append(None)
+            if len(pending.requests) >= self.max_batch:
+                self._flush(key, pending)
             result = await future
         finally:
             self._decrement(self._queued, key)
@@ -599,28 +599,6 @@ class MicroBatcher:
         histogram.record(loop.time() - start)
         return result
 
-    def _new_pending(self) -> _PendingBatch:
-        self._batch_seq += 1
-        return _PendingBatch(self._batch_seq)
-
-    @staticmethod
-    def _enqueue(pending: _PendingBatch, request, future, shard: int,
-                 store) -> None:
-        pending.requests.append(request)
-        pending.futures.append(future)
-        pending.stores.append(store)
-        if isinstance(request.trace, Trace):
-            pending.spans.append(
-                request.trace.start_span(
-                    "scheduler.queue",
-                    model=request.model,
-                    kind=request.kind,
-                    shard=shard,
-                )
-            )
-        else:
-            pending.spans.append(None)
-
     @staticmethod
     def _decrement(counts: Dict, key) -> None:
         remaining = counts.get(key, 0) - 1
@@ -630,69 +608,77 @@ class MicroBatcher:
             counts.pop(key, None)
 
     def _flush(self, key: tuple, pending: _PendingBatch) -> None:
-        if pending.flushed:
-            return
-        pending.flushed = True
-        if pending.timer is not None:
-            pending.timer.cancel()
-        if self._pending.get(key) is pending:
-            del self._pending[key]
-        self._launch(key, pending)
-
-    def _launch(self, key: tuple, pending: _PendingBatch) -> None:
+        if self._pending.get(key) is not pending:
+            return  # flushed at max_batch before its idle tick came
+        del self._pending[key]
         self._batches.inc()
         self._largest.max(len(pending.requests))
-        asyncio.ensure_future(self._run(key, pending))
+        task = asyncio.ensure_future(self._run(key, pending))
+        self._running.setdefault(key, set()).add(task)
 
     async def _run(self, key: tuple, pending: _PendingBatch) -> None:
-        model, kind, condition, shard = key
-        payloads = [request.payload for request in pending.requests]
-        # Queue wait ends when the batch launches; each traced member's
-        # queue span records which batch it was coalesced into.
-        for qspan in pending.spans:
-            if qspan is not None:
-                qspan.annotate(batch_id=pending.batch_id,
-                               batch_size=len(payloads))
-                qspan.finish()
-        batch_trace = None
-        if any(span is not None for span in pending.spans):
-            batch_trace = Trace(
-                name="batch",
-                tags={
-                    "batch_id": pending.batch_id,
-                    "model": model,
-                    "kind": kind,
-                    "shard": shard,
-                    "n": len(payloads),
-                },
-            )
-        # ALWAYS activate — even with None.  This task inherited the
-        # contextvars of whichever request scheduled the flush timer, so
-        # an untraced batch must clear that bystander's tracer rather
-        # than attach batch spans to an unrelated request.
-        with obs.activate(batch_trace):
-            try:
-                results = await self.backend.run_batch(
-                    model, kind, condition, shard, payloads
-                )
-                if len(results) != len(payloads):
-                    raise RuntimeError(
-                        "Backend returned %d results for a %d-request batch."
-                        % (len(results), len(payloads))
-                    )
-            except Exception as error:
-                results = wire.error_results(error, len(payloads))
-        if batch_trace is not None:
-            payload = batch_trace.to_payload()
-            for request, qspan in zip(pending.requests, pending.spans):
+        try:
+            model, kind, condition, shard = key
+            payloads = [request.payload for request in pending.requests]
+            # Queue wait ends when the batch launches; each traced member's
+            # queue span records which batch it was coalesced into.
+            for qspan in pending.spans:
                 if qspan is not None:
-                    request.trace.graft(payload)
-        for store, result in zip(pending.stores, results):
-            if store is not None and result[0] == "ok":
-                store[0].put(store[1], result)
-        for future, result in zip(pending.futures, results):
-            if not future.done():
-                future.set_result(result)
+                    qspan.annotate(batch_id=pending.batch_id,
+                                   batch_size=len(payloads))
+                    qspan.finish()
+            batch_trace = None
+            if any(span is not None for span in pending.spans):
+                batch_trace = Trace(
+                    name="batch",
+                    tags={
+                        "batch_id": pending.batch_id,
+                        "model": model,
+                        "kind": kind,
+                        "shard": shard,
+                        "n": len(payloads),
+                    },
+                )
+            # ALWAYS activate — even with None.  This task inherited the
+            # contextvars of whatever flushed it: the group's first request
+            # (idle key) or the completing batch's task (busy key).  An
+            # untraced batch must clear that bystander's tracer rather than
+            # attach batch spans to an unrelated request.
+            with obs.activate(batch_trace):
+                try:
+                    results = await self.backend.run_batch(
+                        model, kind, condition, shard, payloads
+                    )
+                    if len(results) != len(payloads):
+                        raise RuntimeError(
+                            "Backend returned %d results for a %d-request batch."
+                            % (len(results), len(payloads))
+                        )
+                except Exception as error:
+                    results = wire.error_results(error, len(payloads))
+            if batch_trace is not None:
+                payload = batch_trace.to_payload()
+                for request, qspan in zip(pending.requests, pending.spans):
+                    if qspan is not None:
+                        request.trace.graft(payload)
+            for store, result in zip(pending.stores, results):
+                if store is not None and result[0] == "ok":
+                    store[0].put(store[1], result)
+            for future, result in zip(pending.futures, results):
+                if not future.done():
+                    future.set_result(result)
+        finally:
+            # However the batch ended, none of its requests is left
+            # waiting, and the group that waited on it goes next.
+            for future in pending.futures:
+                future.cancel()
+            running = self._running[key]
+            running.discard(asyncio.current_task())
+            if not running:
+                del self._running[key]
+            waiting = self._pending.get(key)
+            if waiting is not None:
+                self._flush(key, waiting)
 
     async def drain(self) -> None:
         """Flush every pending group immediately (used at shutdown)."""
@@ -706,7 +692,6 @@ class MicroBatcher:
             "requests": requests,
             "batches": batches,
             "largest_batch": self._largest.value,
-            "no_batch_requests": self._no_batch.value,
             "shed": self._shed.value,
             "tenant_shed": self._tenant_shed.value,
             "tenant_sheds": dict(sorted(self.tenant_sheds.items())),
@@ -714,7 +699,6 @@ class MicroBatcher:
             "queued_by_tenant": dict(sorted(self._queued_tenants.items())),
             "max_queued_per_tenant": self.max_queued_per_tenant,
             "mean_batch_size": round(requests / batches, 2) if batches else 0.0,
-            "window_s": self.window,
             "max_batch": self.max_batch,
             "max_queued_per_key": self.max_queued_per_key,
             "latency": {

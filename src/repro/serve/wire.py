@@ -19,12 +19,12 @@ Request fields:
   the consistent-hash routing key, so a chain of queries against one
   posterior lands on one cache-warm worker shard,
 * ``n``/``seed``-- for ``sample`` (``n`` omitted = one assignment),
-* ``no_batch``  -- bypass the micro-batching window (the request is
-  evaluated immediately in a batch of one).  Used by benchmarks as the
-  "sequential unbatched" baseline and by latency-critical callers,
 * ``trace``     -- request an execution trace regardless of the service's
   sampling rate; the completed span tree is retrievable from
   ``GET /v1/trace/<trace_id>`` while it lives in the flight recorder.
+
+Unknown fields are ignored, among them ``no_batch`` from older clients
+(the scheduler holds a request only while its key has a batch in flight).
 
 Response fields: ``id`` (echoed), ``ok``; ``value`` on success, ``error``
 (message) and ``error_kind`` (exception class name, e.g.
@@ -66,12 +66,12 @@ class WireError(ValueError):
 class Request:
     """One parsed wire request (validated shape, unresolved model/event)."""
 
-    __slots__ = ("id", "model", "kind", "payload", "condition", "no_batch",
-                 "trace", "tenant", "affinity")
+    __slots__ = ("id", "model", "kind", "payload", "condition", "trace",
+                 "tenant", "affinity")
 
     def __init__(self, id, model: str, kind: str, payload, condition=None,
-                 no_batch: bool = False, trace: bool = False,
-                 tenant: str = DEFAULT_TENANT, affinity: Optional[str] = None):
+                 trace: bool = False, tenant: str = DEFAULT_TENANT,
+                 affinity: Optional[str] = None):
         self.id = id
         self.model = model
         self.kind = kind
@@ -80,7 +80,6 @@ class Request:
         #: events applied as successive exact ``condition`` steps (the
         #: session tier's posterior chains travel this way).
         self.condition = condition
-        self.no_batch = no_batch
         #: ``True`` when the wire request asked for a trace; the HTTP
         #: layer replaces it with the live :class:`repro.obs.Trace` when
         #: the request is sampled (explicitly or by rate), and the
@@ -133,8 +132,7 @@ def parse_request(data: Dict) -> Request:
         )
     return Request(
         data.get("id"), model, kind, payload, condition,
-        bool(data.get("no_batch")), trace=bool(data.get("trace")),
-        tenant=tenant,
+        trace=bool(data.get("trace")), tenant=tenant,
     )
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.engine import SpplModel
 from repro.engine import parse_event
@@ -91,11 +94,20 @@ class TestQueries:
             "GPA < 2 ** 1024",
             "GPA < " + " * ".join(["9 ** 300"] * 4),
             "GPA < 10.0 ** 400",
+            "GPA < max(range(10 ** 8))",
+            "GPA < len([0] * 10 ** 8)",
+            "GPA < len(10 ** 8 * (0,))",
+            "GPA < len('ab' * 10 ** 7)",
+            "GPA < len([0] * 10 ** 6 + [0])",
+            # Past a machine word: the only way to reach the overflow,
+            # and an unbounded range of it neither allocates nor loops.
+            "GPA < len(range(10 ** 30))",
         ],
     )
     def test_constant_folding_is_bounded(self, event):
-        """Folded constants past the float range are parse errors, raised
-        before the integer power is computed."""
+        """Folded constants past the float range, and ranges or repeated
+        or concatenated sequences past 10**6 items, are parse errors,
+        raised before Python computes them."""
         import time
 
         from repro.compiler import SpplParseError
@@ -115,6 +127,8 @@ class TestQueries:
             ("(-2) ** 3", "-8"),
             ("1 ** 10 ** 300", "1"),
             ("2 ** 1023 // 2 ** 1021", "4"),
+            ("len(range(10 ** 6)) / 10 ** 5", "10.0"),
+            ("len([0] * 10 ** 6) / 10 ** 5", "10.0"),
         ],
     )
     def test_constant_folding_within_float_range(self, folded, plain):
@@ -246,7 +260,75 @@ def served_spes():
     }
 
 
+#: Event pools of the batch-composition property: reordered spellings
+#: whose answers differ in the last bit, thresholds, conjunctions,
+#: an impossible event and a certain one.
+COMPOSITION_POOLS = {
+    "heart_disease": [
+        "cholesterol < 170.0 or fatigue == 1",
+        "fatigue == 1 or cholesterol < 170.0",
+        "heart_disease == 1 or chest_pain == 1",
+        "chest_pain == 1 or heart_disease == 1",
+        "fatigue == 1 and cholesterol < 170.0",
+        "blood_pressure > 140.0",
+        "age_group == 'old' and smoker == 1",
+        "cholesterol > 240.0 and blood_pressure > 140.0",
+        "exercise == 1 or abnormal_ecg == 1",
+        "cholesterol < 0.0 and cholesterol > 1.0",
+        "smoker == 0 or smoker == 1",
+    ],
+    "hmm20": [
+        "Z[0] == 1 or Z[3] == 0",
+        "Z[3] == 0 or Z[0] == 1",
+        "X[1] > 1.5 or Y[2] == 3",
+        "Y[2] == 3 or X[1] > 1.5",
+        "Z[5] == 1 and X[1] > 1.5",
+        "X[0] < 0.5",
+        "X[19] < 0.25 and Z[19] == 0",
+        "Y[7] == 1",
+        "X[3] > 2.0 or X[4] > 2.0",
+        "X[2] < 0.0 and X[2] > 1.0",
+    ],
+}
+
+
 class TestQueryIdentity:
+    @pytest.mark.parametrize("route", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("name", ["hmm20", "heart_disease"])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_batch_composition_never_changes_an_answer(
+        self, served_spes, name, route, data
+    ):
+        """However a batch is composed -- the event alone, among random
+        other events, duplicated, in any order -- ``logprob_batch`` gives
+        each event the bits a fresh uncached model gives it alone.  The
+        serve tier batches by arrival timing, so this is what keeps its
+        answers exact."""
+        spe = served_spes[name]
+        pool = COMPOSITION_POOLS[name]
+        target = data.draw(st.sampled_from(pool), label="target")
+        others = data.draw(
+            st.lists(st.sampled_from(pool), max_size=12), label="others"
+        )
+        position = data.draw(st.integers(0, len(others)), label="position")
+        batch = others[:position] + [target] + others[position:]
+        order = data.draw(st.permutations(batch), label="order")
+        alone = {
+            text: repr(SpplModel(spe, cache=False).logprob_batch([text])[0])
+            for text in set(batch)
+        }
+        model = SpplModel(spe)
+        if route == "compiled":
+            model.compile()
+        try:
+            for composed in ([target], batch, order):
+                assert [repr(v) for v in model.logprob_batch(composed)] == [
+                    alone[text] for text in composed
+                ], composed
+        finally:
+            model.detach_compiled()
+
     def test_queries_bit_identical_however_ordered(
         self, independent_spe, served_spes, spelling_batches
     ):

@@ -236,7 +236,7 @@ class TestBlobSeededRespawn:
             registry = ModelRegistry(blob_dir=tmp_path / "blobs")
             registry.register_catalog("indian_gpa")
             service = InferenceService(
-                registry, workers=2, window=0.001, max_batch=8
+                registry, workers=2, max_batch=8
             )
             host, port = await service.start()
             client = AsyncServeClient(host, port)
@@ -340,7 +340,7 @@ class TestChaosUnderOverload:
             registry = ModelRegistry()
             registry.register_catalog("indian_gpa")
             service = InferenceService(
-                registry, workers=2, window=0.001, max_batch=8,
+                registry, workers=2, max_batch=8,
                 max_queued_per_key=bound,
             )
             host, port = await service.start()
@@ -409,7 +409,7 @@ class TestChaosUnderOverload:
             registry = ModelRegistry()
             registry.register_catalog("indian_gpa")
             service = InferenceService(
-                registry, workers=0, window=0.001, max_batch=8,
+                registry, workers=0, max_batch=8,
                 max_queued_per_key=4,
             )
             host, port = await service.start()
@@ -457,7 +457,7 @@ class TestTracedRespawn:
         async def main():
             registry = ModelRegistry()
             registry.register_catalog("indian_gpa")
-            service = InferenceService(registry, workers=1, window=0.001)
+            service = InferenceService(registry, workers=1)
             host, port = await service.start()
             client = AsyncServeClient(host, port)
             try:

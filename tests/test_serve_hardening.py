@@ -125,14 +125,14 @@ class GatedBackend:
         return [wire.ok(payload) for payload in payloads]
 
 
-def logprob_request(event, model="m", no_batch=False):
-    return Request(None, model, "logprob", event, None, no_batch)
+def logprob_request(event, model="m"):
+    return Request(None, model, "logprob", event)
 
 
 class TestSchedulerBackpressure:
     def test_requests_past_the_key_bound_are_shed(self):
         backend = GatedBackend()
-        batcher = MicroBatcher(backend, window=0.001, max_queued_per_key=4)
+        batcher = MicroBatcher(backend, max_queued_per_key=4)
 
         async def main():
             backend.release = asyncio.Event()
@@ -140,7 +140,7 @@ class TestSchedulerBackpressure:
                 asyncio.ensure_future(batcher.submit(logprob_request("e%d" % i)))
                 for i in range(12)
             ]
-            await asyncio.sleep(0.02)  # window elapsed, batch gated
+            await asyncio.sleep(0.02)  # first batch in flight, gated
             shed = [task for task in submissions if task.done()]
             assert len(shed) == 8
             for task in shed:
@@ -165,7 +165,7 @@ class TestSchedulerBackpressure:
 
     def test_unbounded_scheduler_never_sheds(self):
         backend = GatedBackend()
-        batcher = MicroBatcher(backend, window=0.0, max_queued_per_key=None)
+        batcher = MicroBatcher(backend, max_queued_per_key=None)
 
         async def main():
             backend.release = asyncio.Event()
@@ -179,14 +179,14 @@ class TestSchedulerBackpressure:
 
     def test_latency_recorded_per_kind(self):
         backend = GatedBackend()
-        batcher = MicroBatcher(backend, window=0.0)
+        batcher = MicroBatcher(backend)
 
         async def main():
             backend.release = asyncio.Event()
             backend.release.set()
             await batcher.submit(logprob_request("a"))
             await batcher.submit(
-                Request(None, "m", "logpdf", {"X": 1.0}, None, False)
+                Request(None, "m", "logpdf", {"X": 1.0})
             )
 
         run(main())
@@ -201,7 +201,7 @@ class TestSchedulerBackpressure:
 
     def test_inflight_by_model_tracks_admissions(self):
         backend = GatedBackend()
-        batcher = MicroBatcher(backend, window=0.0)
+        batcher = MicroBatcher(backend)
 
         async def main():
             backend.release = asyncio.Event()
@@ -226,7 +226,7 @@ class TestServiceBackpressure:
 
         async def main():
             service, client = await start_service(
-                window=0.002, max_queued_per_key=bound
+                max_queued_per_key=bound
             )
             slow_backend(service, 0.15)
             try:
@@ -260,7 +260,7 @@ class TestServiceBackpressure:
     def test_per_connection_pipeline_bound_gets_http_429(self):
         async def main():
             service, client = await start_service(
-                window=0.001, max_inflight_per_connection=4
+                max_inflight_per_connection=4
             )
             slow_backend(service, 0.2)
             try:
@@ -315,7 +315,7 @@ class TestServiceBackpressure:
 
         async def main():
             service, client = await start_service(
-                window=0.001, max_inflight_per_connection=2
+                max_inflight_per_connection=2
             )
             slow_backend(service, 0.3)
             try:
@@ -354,7 +354,7 @@ class TestServiceBackpressure:
         # into a per-request Overloaded response, not a lost stream.
         async def main():
             service, client = await start_service(
-                window=0.001, max_inflight_per_connection=4
+                max_inflight_per_connection=4
             )
             slow_backend(service, 0.15)
             try:
@@ -387,7 +387,7 @@ class TestServiceBackpressure:
 class TestConnectionSurvivesBadRequests:
     def test_malformed_ndjson_line_fails_only_itself(self):
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 connection = await _Connection.open(client.host, client.port)
                 good = json.dumps(
@@ -421,7 +421,7 @@ class TestConnectionSurvivesBadRequests:
         monkeypatch.setattr(http_module, "MAX_DRAIN_BYTES", 4096)
 
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 connection = await _Connection.open(client.host, client.port)
                 oversized = b"x" * 1000  # > MAX_BODY_BYTES, drainable
@@ -457,7 +457,7 @@ class TestConnectionSurvivesBadRequests:
         monkeypatch.setattr(http_module, "MAX_DRAIN_BYTES", 512)
 
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 reader, writer = await asyncio.open_connection(
                     client.host, client.port
@@ -483,7 +483,7 @@ class TestConnectionSurvivesBadRequests:
 class TestGracefulShutdown:
     def test_inflight_batch_is_answered_before_teardown(self):
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             slow_backend(service, 0.3)
             connection = await _Connection.open(client.host, client.port)
             body = json.dumps(
@@ -514,7 +514,7 @@ class TestGracefulShutdown:
 class TestClearCacheEverywhere:
     def test_clear_drops_result_cache_and_event_lru(self):
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 request = {
                     "model": "indian_gpa", "kind": "logprob", "event": "GPA > 3",
@@ -548,7 +548,7 @@ class TestClearCacheEverywhere:
 class TestLifecycleInProcess:
     def test_register_query_unregister_cycle(self):
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 # Register by catalog name on the live service.
                 reply = await client.register_model("hmm2", catalog="hmm2")
@@ -594,7 +594,7 @@ class TestLifecycleInProcess:
         query = {"model": "m", "kind": "logprob", "event": "X < 0.5"}
 
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 await client.register_model("m", payload=old.to_json())
                 original = service.backend.run_batch
@@ -630,7 +630,7 @@ class TestLifecycleInProcess:
         from repro.serve import ServeClientError
 
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 # Duplicate name: 409.
                 with pytest.raises(ServeClientError, match="409"):
@@ -665,7 +665,7 @@ class TestLifecycleInProcess:
 class TestObservabilityEndpoint:
     def test_stats_reports_per_kind_percentiles_and_eviction_pressure(self):
         async def main():
-            service, client = await start_service(window=0.001)
+            service, client = await start_service()
             try:
                 requests = [
                     {"model": "indian_gpa", "kind": "logprob",
@@ -778,7 +778,7 @@ def assert_parse_error_then_answers(event):
     async def main():
         registry = ModelRegistry()
         registry.register_catalog("indian_gpa")
-        service = InferenceService(registry, workers=1, window=0.001)
+        service = InferenceService(registry, workers=1)
         host, port = await service.start()
         client = AsyncServeClient(host, port)
         try:
@@ -811,11 +811,19 @@ class TestShardedHardening:
         assert_parse_error_then_answers(event)
 
     @pytest.mark.parametrize(
-        "event", ["GPA < 10 ** 3000000", "GPA < 9 * 9 ** 999999 // 9 ** 999998"]
+        "event",
+        [
+            "GPA < 10 ** 3000000",
+            "GPA < 9 * 9 ** 999999 // 9 ** 999998",
+            "GPA < max(range(10 ** 8))",
+            "GPA < len([0] * 10 ** 8)",
+            "GPA < len(range(10 ** 30))",
+        ],
     )
     def test_constant_folding_bound_is_a_parse_error(self, event):
-        """A folded integer constant past the float range fails as a parse
-        error on the shard, which stays up and keeps answering."""
+        """A folded integer constant past the float range, or a range or
+        repeated list past 10**6 items, fails as a parse error on the
+        shard, which stays up and keeps answering."""
         assert_parse_error_then_answers(event)
 
     def test_overload_lifecycle_and_differential_on_two_workers(self):
@@ -825,7 +833,7 @@ class TestShardedHardening:
             registry = ModelRegistry()
             registry.register_catalog("indian_gpa")
             service = InferenceService(
-                registry, workers=2, window=0.002, max_queued_per_key=bound
+                registry, workers=2, max_queued_per_key=bound
             )
             host, port = await service.start()
             client = AsyncServeClient(host, port)

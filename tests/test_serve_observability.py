@@ -113,7 +113,7 @@ class TestTraceEndToEnd:
         async def main():
             registry = ModelRegistry(blob_dir=tmp_path / "blobs")
             registry.register_catalog("noisy_or")
-            service, client = await _serve(registry, workers=2, window=0.001)
+            service, client = await _serve(registry, workers=2)
             try:
                 response = await client.query({
                     "model": "noisy_or", "kind": "logprob",

@@ -1,4 +1,4 @@
-"""Micro-batching scheduler tests: coalescing, windows, pinning, fallback."""
+"""Micro-batching scheduler tests: coalescing, idle dispatch, pinning, fallback."""
 
 import asyncio
 import math
@@ -19,8 +19,8 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-def logprob_request(event, model="m", condition=None, no_batch=False):
-    return Request(None, model, "logprob", event, condition, no_batch)
+def logprob_request(event, model="m", condition=None):
+    return Request(None, model, "logprob", event, condition)
 
 
 class FakeBackend:
@@ -48,7 +48,7 @@ class FakeBackend:
 class TestCoalescing:
     def test_concurrent_requests_coalesce_into_one_batch(self):
         backend = FakeBackend()
-        batcher = MicroBatcher(backend, window=0.005, max_batch=64)
+        batcher = MicroBatcher(backend, max_batch=64)
 
         async def main():
             return await asyncio.gather(
@@ -62,7 +62,7 @@ class TestCoalescing:
 
     def test_distinct_keys_get_distinct_batches(self):
         backend = FakeBackend()
-        batcher = MicroBatcher(backend, window=0.005)
+        batcher = MicroBatcher(backend)
 
         async def main():
             return await asyncio.gather(
@@ -77,11 +77,9 @@ class TestCoalescing:
 
     def test_max_batch_flushes_early(self):
         backend = FakeBackend()
-        batcher = MicroBatcher(backend, window=10.0, max_batch=4)
+        batcher = MicroBatcher(backend, max_batch=4)
 
         async def main():
-            # A 10-second window would stall the test if max_batch did
-            # not force the flush.
             return await asyncio.wait_for(
                 asyncio.gather(
                     *[batcher.submit(logprob_request("e%d" % i)) for i in range(8)]
@@ -94,33 +92,9 @@ class TestCoalescing:
         assert len(backend.batches) == 2
         assert all(len(payloads) == 4 for *_, payloads in backend.batches)
 
-    def test_no_batch_bypasses_window(self):
-        backend = FakeBackend()
-        batcher = MicroBatcher(backend, window=10.0)
-
-        async def main():
-            return await asyncio.wait_for(
-                batcher.submit(logprob_request("solo", no_batch=True)), timeout=5
-            )
-
-        assert run(main()) == ("ok", "solo")
-        assert batcher.stats()["no_batch_requests"] == 1
-
-    def test_zero_window_still_coalesces_same_iteration(self):
-        backend = FakeBackend()
-        batcher = MicroBatcher(backend, window=0.0)
-
-        async def main():
-            return await asyncio.gather(
-                *[batcher.submit(logprob_request("e%d" % i)) for i in range(5)]
-            )
-
-        run(main())
-        assert len(backend.batches) == 1
-
     def test_backend_failure_errors_every_request(self):
         backend = FakeBackend(fail=True)
-        batcher = MicroBatcher(backend, window=0.0)
+        batcher = MicroBatcher(backend)
 
         async def main():
             return await asyncio.gather(
@@ -133,7 +107,7 @@ class TestCoalescing:
 
     def test_sharded_conditions_stick_round_robin_spreads(self):
         backend = FakeBackend(n_shards=4)
-        batcher = MicroBatcher(backend, window=0.0)
+        batcher = MicroBatcher(backend)
 
         async def main():
             conditioned = [
@@ -156,8 +130,166 @@ class TestCoalescing:
     def test_validation(self):
         with pytest.raises(ValueError):
             MicroBatcher(FakeBackend(), max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(FakeBackend(), window=-1)
+
+
+class GatedBackend(FakeBackend):
+    """Holds every batch until ``gate`` opens, then answers each payload
+    with ``(program, payload)`` -- ``program`` as it is at completion.
+
+    ``first_raises`` is raised by the first batch once the gate opens:
+    a ``RuntimeError`` for a failed batch, ``asyncio.CancelledError`` for
+    a batch task cancelled mid-evaluation.
+    """
+
+    def __init__(self, first_raises=None):
+        super().__init__()
+        self.gate = None  # created on the loop
+        self.program = "old"
+        self.first_raises = first_raises
+
+    async def run_batch(self, model, kind, condition, shard, payloads):
+        self.batches.append((model, kind, condition, shard, list(payloads)))
+        await self.gate.wait()
+        if self.first_raises is not None and len(self.batches) == 1:
+            raise self.first_raises
+        return [wire.ok((self.program, payload)) for payload in payloads]
+
+
+def answers(results):
+    return [result[1][1] for result in results]
+
+
+def dispatched(backend):
+    return [payloads for *_, payloads in backend.batches]
+
+
+async def ticks(n):
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
+class TestIdleDispatch:
+    """A key with no batch in flight dispatches at once; a busy key
+    gathers arrivals into one group that goes when its batch returns."""
+
+    def test_idle_key_reaches_backend_without_a_timer(self):
+        backend = GatedBackend()
+        batcher = MicroBatcher(backend)
+
+        async def main():
+            backend.gate = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            task = asyncio.ensure_future(batcher.submit(logprob_request("solo")))
+            # Three loop ticks -- submit, flush, batch start -- and no
+            # clock: nothing sleeps for a nonzero time.
+            await ticks(3)
+            assert dispatched(backend) == [["solo"]]
+            assert loop.time() - start < 0.5
+            backend.gate.set()
+            return await task
+
+        assert run(main()) == ("ok", ("old", "solo"))
+
+    def test_arrivals_during_a_batch_form_the_next_batch(self):
+        backend = GatedBackend()
+        batcher = MicroBatcher(backend)
+
+        async def main():
+            backend.gate = asyncio.Event()
+            first = asyncio.ensure_future(batcher.submit(logprob_request("a")))
+            await ticks(3)
+            assert dispatched(backend) == [["a"]]
+            later = []
+            for i in range(4):
+                later.append(
+                    asyncio.ensure_future(batcher.submit(logprob_request("b%d" % i)))
+                )
+                await ticks(2)  # separate ticks: no same-tick coalescing
+            # The key is busy: the arrivals wait as one group.
+            assert dispatched(backend) == [["a"]]
+            backend.gate.set()
+            return await asyncio.wait_for(asyncio.gather(first, *later), timeout=5)
+
+        results = run(main())
+        assert answers(results) == ["a", "b0", "b1", "b2", "b3"]
+        assert dispatched(backend) == [["a"], ["b0", "b1", "b2", "b3"]]
+        assert batcher.stats()["mean_batch_size"] == 2.5
+
+    def test_max_batch_flushes_a_busy_key(self):
+        backend = GatedBackend()
+        batcher = MicroBatcher(backend, max_batch=3)
+
+        async def main():
+            backend.gate = asyncio.Event()
+            first = asyncio.ensure_future(batcher.submit(logprob_request("a")))
+            await ticks(3)
+            later = [
+                asyncio.ensure_future(batcher.submit(logprob_request("b%d" % i)))
+                for i in range(7)
+            ]
+            await ticks(4)
+            # Two full groups went while "a" was still in flight; the
+            # seventh arrival waits for a batch to return.
+            assert dispatched(backend) == [
+                ["a"], ["b0", "b1", "b2"], ["b3", "b4", "b5"]
+            ]
+            backend.gate.set()
+            return await asyncio.wait_for(asyncio.gather(first, *later), timeout=5)
+
+        assert len(run(main())) == 8
+        assert dispatched(backend)[3:] == [["b6"]]
+
+    @staticmethod
+    def _fail_first_batch(error):
+        """Run "a" into a batch that raises ``error``, with "b" waiting."""
+        backend = GatedBackend(first_raises=error)
+        batcher = MicroBatcher(backend)
+
+        async def main():
+            backend.gate = asyncio.Event()
+            first = asyncio.ensure_future(batcher.submit(logprob_request("a")))
+            await ticks(3)
+            second = asyncio.ensure_future(batcher.submit(logprob_request("b")))
+            await ticks(2)
+            backend.gate.set()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(first, second, return_exceptions=True), timeout=5
+            )
+            return outcomes
+
+        outcomes = run(main())
+        assert dispatched(backend) == [["a"], ["b"]]
+        assert batcher.stats()["queued"] == 0
+        return outcomes
+
+    def test_failed_batch_still_flushes_the_waiting_group(self):
+        first, second = self._fail_first_batch(RuntimeError("backend down"))
+        assert first[:2] == ("error", "RuntimeError")
+        assert second == ("ok", ("old", "b"))
+
+    def test_cancelled_batch_still_flushes_the_waiting_group(self):
+        first, second = self._fail_first_batch(asyncio.CancelledError())
+        assert isinstance(first, asyncio.CancelledError)
+        assert second == ("ok", ("old", "b"))
+
+    def test_drain_flushes_a_group_waiting_on_a_busy_key(self):
+        backend = GatedBackend()
+        batcher = MicroBatcher(backend)
+
+        async def main():
+            backend.gate = asyncio.Event()
+            first = asyncio.ensure_future(batcher.submit(logprob_request("a")))
+            await ticks(3)
+            second = asyncio.ensure_future(batcher.submit(logprob_request("b")))
+            await ticks(2)
+            await batcher.drain()
+            await ticks(1)
+            assert dispatched(backend) == [["a"], ["b"]]
+            backend.gate.set()
+            return await asyncio.wait_for(asyncio.gather(first, second), timeout=5)
+
+        assert answers(run(main())) == ["a", "b"]
 
 
 class TestEvaluateBatch:
@@ -240,7 +372,7 @@ class TestResultCache:
 
     def test_fills_and_replays(self):
         backend = ModelBackend(indian_gpa.model())
-        batcher = MicroBatcher(backend, window=0)
+        batcher = MicroBatcher(backend)
         events = ["GPA > 1", "GPA > 2"]
         first, second, *again = submit_in_turn(batcher, "logprob", events, rounds=2)
         assert [first, second] == again
@@ -251,14 +383,14 @@ class TestResultCache:
         assert [batch[4] for batch in backend.batches] == [["GPA > 1"], ["GPA > 2"]]
 
     def test_hit_miss_counts(self):
-        batcher = MicroBatcher(ModelBackend(indian_gpa.model()), window=0)
+        batcher = MicroBatcher(ModelBackend(indian_gpa.model()))
         submit_in_turn(batcher, "logprob", ["GPA > 1"], rounds=2)
         assert batcher.result_cache("m").stats()["misses"] == 1
         assert batcher.result_cache("m").stats()["hits"] == 1
 
     def test_errors_not_cached(self):
         backend = ModelBackend(indian_gpa.model())
-        batcher = MicroBatcher(backend, window=0)
+        batcher = MicroBatcher(backend)
         results = submit_in_turn(batcher, "logprob", ["NoVar > 1"], rounds=2)
         assert [result[0] for result in results] == ["error", "error"]
         assert batcher.result_cache("m").stats()["entries"] == 0
@@ -266,7 +398,7 @@ class TestResultCache:
 
     def test_sample_never_cached(self):
         backend = ModelBackend(indian_gpa.model())
-        batcher = MicroBatcher(backend, window=0)
+        batcher = MicroBatcher(backend)
         submit_in_turn(batcher, "sample", [{"n": 2, "seed": 3}], rounds=2)
         assert batcher.stats()["result_cache"] == {}
         assert len(backend.batches) == 2
@@ -285,31 +417,16 @@ class TestResultCache:
         assert cache.get(ResultCache.key("logprob", None, "e")) is None
 
     def test_non_finite_values_survive_the_cache(self):
-        batcher = MicroBatcher(ModelBackend(indian_gpa.model()), window=0)
+        batcher = MicroBatcher(ModelBackend(indian_gpa.model()))
         first, again = submit_in_turn(batcher, "logprob", ["GPA > 99"], rounds=2)
         assert first == again == ("ok", -math.inf)
         assert batcher.result_cache("m").stats()["hits"] == 1
 
 
-class GatedBackend(FakeBackend):
-    """Holds every batch until ``gate`` opens, then answers each payload
-    with ``(program, payload)`` -- ``program`` as it is at completion."""
-
-    def __init__(self):
-        super().__init__()
-        self.gate = None
-        self.program = "old"
-
-    async def run_batch(self, model, kind, condition, shard, payloads):
-        self.batches.append((model, kind, condition, shard, list(payloads)))
-        await self.gate.wait()
-        return [wire.ok((self.program, payload)) for payload in payloads]
-
-
 class TestFrontEndResultCache:
     def test_hit_bypasses_coalescer_counters_and_latency(self):
         backend = FakeBackend()
-        batcher = MicroBatcher(backend, window=0)
+        batcher = MicroBatcher(backend)
         results = submit_in_turn(batcher, "logprob", ["e"], rounds=3)
         assert results == [("ok", "e")] * 3
         assert len(backend.batches) == 1
@@ -323,7 +440,7 @@ class TestFrontEndResultCache:
     def test_hit_holds_no_queue_slot_and_is_never_shed(self):
         backend = GatedBackend()
         batcher = MicroBatcher(
-            backend, window=0, max_queued_per_key=1, max_queued_per_tenant=1
+            backend, max_queued_per_key=1, max_queued_per_tenant=1
         )
 
         async def main():
@@ -352,7 +469,7 @@ class TestFrontEndResultCache:
         of a different program under the same name (or across a cache
         clear) must not leave its answers in the new cache."""
         backend = GatedBackend()
-        batcher = MicroBatcher(backend, window=0)
+        batcher = MicroBatcher(backend)
 
         async def main():
             backend.gate = asyncio.Event()
@@ -379,7 +496,7 @@ class TestFrontEndResultCache:
 
     def test_observe_and_failed_conditions_always_reach_the_backend(self):
         backend = ModelBackend(indian_gpa.model())
-        batcher = MicroBatcher(backend, window=0)
+        batcher = MicroBatcher(backend)
         observed = submit_in_turn(batcher, "observe", ["GPA > 1"], rounds=2)
         assert observed == [("ok", True)] * 2
         failed = submit_in_turn(
@@ -427,7 +544,7 @@ class TestServeResultCacheIdentity:
             for text in order:
                 assert repr(model.logprob(text)) == want[text]
             batcher = MicroBatcher(
-                ModelBackend(SpplModel(heart_disease_spe)), window=0
+                ModelBackend(SpplModel(heart_disease_spe))
             )
             answers = submit_in_turn(batcher, "logprob", order)
             for text, (status, value) in zip(order, answers):
@@ -460,7 +577,7 @@ class TestServeResultCacheIdentity:
         for its own text; asking a text again is a hit."""
         from repro.engine import SpplModel
 
-        batcher = MicroBatcher(ModelBackend(SpplModel(noisy_or_spe)), window=0)
+        batcher = MicroBatcher(ModelBackend(SpplModel(noisy_or_spe)))
         texts = ["disease_0 == 1", "disease_0  ==  1", "disease_0 == 1"]
         answers = submit_in_turn(batcher, "logprob", texts)
         plain = SpplModel(noisy_or_spe)

@@ -132,7 +132,7 @@ class TestServiceEndToEnd:
 
         async def test(client, service):
             concurrent = await client.query_many(requests, connections=8)
-            sequential = await client.query_seq(requests, no_batch=True)
+            sequential = await client.query_seq(requests)
             assert [r["value"] for r in concurrent] == [
                 r["value"] for r in sequential
             ]
@@ -291,7 +291,7 @@ class TestCli:
     def test_cli_serves_and_shuts_down_cleanly(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", "--model", "indian_gpa",
-             "--port", "0", "--window-ms", "1", "--workers", "0"],
+             "--port", "0", "--workers", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,

@@ -21,6 +21,7 @@ nightly CI chaos lane with the seed printed for replay.
 import asyncio
 import os
 import signal
+import time
 
 from repro.engine import PosteriorChain
 from repro.serve import AsyncServeClient
@@ -45,12 +46,37 @@ def run_service(test, models=("hmm3",), **service_kwargs):
     return asyncio.run(main())
 
 
+def hold_first_batch_until(service, condition, timeout=10.0):
+    """Keep the service's first batch in flight until ``condition()`` holds.
+
+    While that batch is held, every request on its batch key stays
+    admitted-but-unanswered, so a burst piles up against its quota.
+    """
+    original = service.backend.run_batch
+    held = []
+
+    async def gated(*args, **kwargs):
+        if not held:
+            held.append(True)
+            deadline = time.monotonic() + timeout
+            while not condition() and time.monotonic() < deadline:
+                await asyncio.sleep(0.001)
+        return await original(*args, **kwargs)
+
+    service.backend.run_batch = gated
+
+
+def tenant_shed(service, tenant):
+    return lambda: service.scheduler.tenant_sheds.get(tenant, 0) > 0
+
+
 class TestNoisyNeighbor:
     def test_aggressor_sheds_victim_unaffected(self):
         quota = 8
         aggressor_burst = 4 * quota
 
         async def test(client, service):
+            hold_first_batch_until(service, tenant_shed(service, "mallory"))
             flood = [
                 {
                     "id": i,
@@ -82,7 +108,6 @@ class TestNoisyNeighbor:
             test,
             models=("hmm3",),
             max_queued_per_tenant=quota,
-            window=0.05,
         )
         # The victim's error rate is unchanged: every request succeeded,
         # bit-identical to the library, and it accrued zero sheds.
@@ -115,6 +140,7 @@ class TestNoisyNeighbor:
 
     def test_quota_resets_after_backlog_drains(self):
         async def test(client, service):
+            hold_first_batch_until(service, tenant_shed(service, "mallory"))
             burst = [
                 {
                     "id": i,
@@ -131,7 +157,7 @@ class TestNoisyNeighbor:
             return first, retry
 
         first, retry = run_service(
-            test, models=("hmm3",), max_queued_per_tenant=4, window=0.05
+            test, models=("hmm3",), max_queued_per_tenant=4
         )
         assert any(r.get("error_kind") == "Overloaded" for r in first)
         assert sum(1 for r in retry if r.get("ok")) >= 4

@@ -79,7 +79,7 @@ def sharded_responses():
     async def main():
         registry = ModelRegistry()
         registry.register_catalog("indian_gpa")
-        service = InferenceService(registry, workers=2, window=0.002)
+        service = InferenceService(registry, workers=2)
         host, port = await service.start()
         try:
             client = AsyncServeClient(host, port)
@@ -212,7 +212,7 @@ class TestFrontEndResultCacheDifferential:
         hot = [dict(request, id=i) for i, request in enumerate(self.HOT)]
 
         async def main():
-            service = InferenceService(registry, workers=2, window=0.002)
+            service = InferenceService(registry, workers=2)
             host, port = await service.start()
             try:
                 client = AsyncServeClient(host, port)

@@ -793,7 +793,7 @@ class TestProactiveProbe:
         async def main():
             registry = ModelRegistry()
             registry.register_catalog("indian_gpa")
-            service = InferenceService(registry, workers=1, window=0.001)
+            service = InferenceService(registry, workers=1)
             host, port = await service.start()
             client = AsyncServeClient(host, port)
             try:
@@ -843,8 +843,7 @@ class TestMultiNodeService:
             registry.register_catalog("indian_gpa")
             service = InferenceService(
                 registry, workers=1, nodes=["127.0.0.1:%d" % port],
-                window=0.001,
-            )
+                )
             host, sport = await service.start()
             client = AsyncServeClient(host, sport)
             try:
@@ -920,7 +919,7 @@ class TestMultiNodeService:
             registry.register_catalog("indian_gpa")
             service = InferenceService(
                 registry, workers=1, nodes=["127.0.0.1:%d" % port],
-                window=0.001, max_batch=8, max_queued_per_key=bound,
+                max_batch=8, max_queued_per_key=bound,
                 probe_interval_ms=200,
             )
             host, sport = await service.start()

@@ -18,15 +18,16 @@ class TestParseRequest:
         assert request.kind == "logprob"
         assert request.payload == "X < 1"
         assert request.condition is None
-        assert not request.no_batch
 
-    def test_condition_and_no_batch(self):
+    def test_condition_and_retired_no_batch_flag_ignored(self):
+        # Old clients still send ``no_batch``; like any unknown field it
+        # is ignored, and the request parses and batches normally.
         request = wire.parse_request_line(
             b'{"model": "m", "kind": "prob", "event": "X < 1", '
             b'"condition": "Y > 0", "no_batch": true}'
         )
         assert request.condition == "Y > 0"
-        assert request.no_batch
+        assert not hasattr(request, "no_batch")
 
     def test_logpdf_request(self):
         request = wire.parse_request_line(
