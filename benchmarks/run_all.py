@@ -465,7 +465,7 @@ def bench_serve_chaos() -> dict:
         await client.query_many(requests, connections=8)
         healthy_s = time.perf_counter() - start
 
-        os.kill(service.backend.pool.fault_points()[0][2], signal.SIGKILL)
+        os.kill(service.backend.fault_points()[0][2], signal.SIGKILL)
         start = time.perf_counter()
         responses = await client.query_many(requests, connections=8)
         killed_s = time.perf_counter() - start
@@ -607,13 +607,13 @@ def bench_node_transport() -> dict:
         async def run():
             try:
                 for event in events:  # warm the channel
-                    await pool.run_batch(0, "indian_gpa", "observe", None, [event])
+                    await pool.run_batch("indian_gpa", "observe", None, 0, [event])
                 times = []
                 start_all = time.perf_counter()
                 for event in events:
                     start = time.perf_counter()
                     (row,) = await pool.run_batch(
-                        0, "indian_gpa", "observe", None, [event]
+                        "indian_gpa", "observe", None, 0, [event]
                     )
                     times.append(time.perf_counter() - start)
                     assert row == ("ok", True)

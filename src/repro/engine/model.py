@@ -240,32 +240,6 @@ class SpplModel:
         if previous is not None:
             previous.close()
 
-    def _refresh_compiled(self) -> None:
-        """Rebuild the compiled kernel from current sources.
-
-        Blob-backed kernels are re-mapped from their file (re-verifying
-        the digest); in-memory kernels are recompiled.  Either way no
-        handle to the old mapping survives, so cache clearing cannot
-        leave a query running against stale pages.
-        """
-        previous, self._compiled = self._compiled, None
-        if previous is None:
-            return
-        path, digest = previous.source_path, previous.digest
-        previous.close()
-        from ..spe import compile_spe
-        from ..spe import load_spz
-
-        if path is not None:
-            try:
-                self._compiled = load_spz(path, expected_digest=digest)
-                return
-            except Exception:
-                # The blob vanished or was corrupted: fall back to an
-                # in-memory compile of the (verified) live expression.
-                pass
-        self._compiled = compile_spe(self.spe)
-
     # -- Cache management -----------------------------------------------------
 
     @property
@@ -324,7 +298,6 @@ class SpplModel:
         scoping is conservative, never stale.  Pass ``everything=True`` to
         wipe the shared cache entirely (the pre-bounded-cache behavior).
         """
-        self._refresh_compiled()
         if self._cache is None:
             return
         if everything or not isinstance(self._cache, QueryCache):

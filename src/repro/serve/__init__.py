@@ -10,7 +10,8 @@ into the "heavy traffic" deployment shape the ROADMAP targets:
 * :mod:`repro.serve.scheduler` -- asyncio micro-batcher coalescing
   concurrent single-event requests into batched
   ``logprob_batch``/``logpdf_batch`` calls under query-scope pinning,
-* :mod:`repro.serve.sharding`  -- consistent-hash-routed shards behind
+* :mod:`repro.serve.sharding`  -- :class:`~repro.serve.sharding.WorkerPool`,
+  the sharded scheduler backend: consistent-hash-routed shards behind
   transports, each holding a digest-verified copy of every model and a
   private :class:`~repro.spe.QueryCache`; dead shards are respawned and
   their in-flight batches requeued (and proactively probed),
@@ -88,7 +89,6 @@ from .sessions import SessionStore
 from .sharding import HashRing
 from .sharding import WorkerError
 from .sharding import WorkerPool
-from .sharding import WorkerPoolBackend
 from .transport import LocalTransport
 from .transport import SocketTransport
 from .transport import TcpTransport
@@ -129,7 +129,6 @@ __all__ = [
     "WireError",
     "WorkerError",
     "WorkerPool",
-    "WorkerPoolBackend",
     "evaluate_batch",
     "parse_request",
     "parse_request_line",

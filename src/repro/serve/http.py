@@ -88,7 +88,6 @@ from .sessions import SessionError
 from .sessions import SessionStore
 from .sharding import WorkerError
 from .sharding import WorkerPool
-from .sharding import WorkerPoolBackend
 
 #: Largest accepted request head (request line + headers) and body.
 MAX_HEAD_BYTES = 64 * 1024
@@ -207,13 +206,11 @@ class InferenceService:
             metrics=self.metrics,
         )
         self.nodes = list(nodes or [])
-        self._pool: Optional[WorkerPool] = None
         if workers > 0 or self.nodes:
-            self._pool = WorkerPool(
+            self.backend = WorkerPool(
                 workers, metrics=self.metrics, nodes=self.nodes,
                 probe_interval_ms=probe_interval_ms,
             )
-            self.backend = WorkerPoolBackend(self._pool)
         else:
             self.backend = InProcessBackend(registry)
         self.scheduler = MicroBatcher(
@@ -269,13 +266,11 @@ class InferenceService:
 
     async def start(self) -> Tuple[str, int]:
         """Start workers (if any) and the HTTP listener; returns (host, port)."""
-        if self._pool is not None:
-            specs = self.worker_specs()
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._pool.start, specs)
-            # Proactive supervision: idle shards are pinged periodically
-            # and dead ones respawned before traffic finds them.
-            self._pool.start_probing()
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self.backend.start, self.worker_specs())
+        # Proactive supervision: idle shards are pinged periodically and
+        # dead ones respawned before traffic finds them.
+        self.backend.start_probing()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port
         )
@@ -567,14 +562,6 @@ class InferenceService:
                     return _json_response(405, {"error": "POST required."})
                 self.scheduler.reset_result_cache()
                 await self.backend.clear_caches()
-                if self._pool is not None:
-                    # Sharded mode: the registry's live copies are not on
-                    # the query path, but their compiled-blob handles must
-                    # be refreshed too (clear_cache re-maps the blob), so
-                    # no stale mmap survives anywhere in the parent.
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self.registry.clear_caches
-                    )
                 return _json_response(200, {"ok": True})
             if path == "/healthz":
                 return _json_response(200, {"ok": True})
@@ -608,7 +595,7 @@ class InferenceService:
                 decoded = json.loads(line)
                 if isinstance(decoded, dict):
                     request_id = decoded.get("id")
-            except ValueError:
+            except (ValueError, RecursionError):
                 pass
             return wire.encode_error_line(request_id, str(error), trace_id=trace_id)
         try:
@@ -1063,8 +1050,10 @@ class InferenceService:
         recorder) is collected in a single synchronous pass — no ``await``
         between reads — so invariants that hold on the loop (e.g.
         ``respawns >= requeued_batches``) also hold in every snapshot.
-        Only the worker shards' own statistics require pipe round trips;
-        they are awaited *after* the snapshot and merged in.
+        The backend's own counters belong to that pass: its
+        :meth:`stats` reads them before its first await, and only the
+        worker shards' statistics, which need socket round trips, come
+        after.
         """
         stats = {
             "scheduler": self.scheduler.stats(),
@@ -1072,15 +1061,14 @@ class InferenceService:
                 "connection_sheds": self._connection_sheds.value,
                 "max_inflight_per_connection": self.max_inflight_per_connection,
             },
-            "backend": self.backend.stats_sync(),
+            "backend": {},
             "sessions": self.sessions.stats(),
             "trace": self.recorder.stats(),
             "models": self.registry.names(),
         }
         if self.journal is not None:
             stats["journal"] = self.journal.stats()
-        if self._pool is not None:
-            stats["backend"]["shards"] = await self._pool.shard_stats()
+        stats["backend"].update(await self.backend.stats())
         return stats
 
     async def _metrics_exposition(self) -> str:

@@ -276,19 +276,6 @@ class ModelRegistry:
         """Static description of every model (``/v1/models``)."""
         return {name: reg.describe() for name, reg in sorted(self._models.items())}
 
-    def clear_caches(self) -> None:
-        """Drop every registered model's cached traversal results.
-
-        Uses ``everything=True``: each registered model owns its cache
-        exclusively, and scoped clearing would keep entries keyed on
-        posterior-subgraph uids (not reachable from the prior) alive.
-        The parsed-event LRU is dropped too — a clear must force full
-        recomputation, including re-parsing query strings.
-        """
-        for registered in self._models.values():
-            registered.model.clear_cache(everything=True)
-            registered.model.clear_event_cache()
-
 
 # ---------------------------------------------------------------------------
 # Durable registry: the on-disk lifecycle journal.
@@ -500,7 +487,7 @@ class RegistryJournal:
         """One record, or ``None`` for anything that cannot be trusted."""
         try:
             entry = json.loads(line)
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, RecursionError):  # incl. UnicodeDecodeError
             return None
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str) \
                 or not entry["name"]:

@@ -42,6 +42,8 @@ from ..engine import SpplModel
 from ..obs import MetricsRegistry
 from ..obs import Trace
 from . import wire
+from .transport import ShardHost
+from .transport import WorkerError
 from .wire import LatencyHistogram
 from .wire import Result
 
@@ -248,11 +250,14 @@ class InProcessBackend:
     executor thread so the event loop keeps accepting and coalescing
     requests while a batch computes (the cache is thread-safe).
 
-    The backend keeps its own live-model map, updated through
-    :meth:`register_model` / :meth:`unregister_model`: during an
-    unregistration the registry entry is removed *first* (rejecting new
-    requests) while in-flight batches keep resolving against the map
-    until the service has drained them.
+    The live models sit in a :class:`~repro.serve.transport.ShardHost`
+    holding the registry's own objects (no serialization round trip), so
+    stats and clears are the same ``stats``/``clear`` ops a worker shard
+    answers.  The host is updated through :meth:`register_model` /
+    :meth:`unregister_model`: during an unregistration the registry
+    entry is removed *first* (rejecting new requests) while in-flight
+    batches keep resolving against the host until the service has
+    drained them.
     """
 
     n_shards = 1
@@ -260,42 +265,51 @@ class InProcessBackend:
     def __init__(self, registry, max_threads: int = 2):
         self.registry = registry
         self._semaphore = asyncio.Semaphore(max_threads)
-        self._models: Dict[str, SpplModel] = {
-            name: registry.get(name).model for name in registry.names()
-        }
+        self._host = ShardHost(0)
+        self._adopt_new()
 
-    def _model(self, name: str) -> Optional[SpplModel]:
-        model = self._models.get(name)
-        if model is None and name in self.registry:
-            # Registered directly on the registry after construction
-            # (embedding code); adopt it.
-            model = self._models[name] = self.registry.get(name).model
-        return model
+    def _install(self, registered) -> SpplModel:
+        self._host.models[registered.name] = registered.model
+        self._host.digests[registered.name] = registered.digest
+        return registered.model
 
-    def _live_models(self) -> Dict[str, SpplModel]:
-        """The served map, first adopting any direct registry additions
-        (so stats/clear cover models registered after construction even
-        before their first query)."""
+    def _adopt_new(self) -> None:
+        """Adopt models registered directly on the registry after
+        construction (embedding code), so stats/clear cover them even
+        before their first query."""
         for name in self.registry.names():
-            if name not in self._models:
-                self._models[name] = self.registry.get(name).model
-        return self._models
+            if name not in self._host.models:
+                self._install(self.registry.get(name))
+
+    def _op(self, *message):
+        reply = self._host.handle(message)
+        if reply[0] == "error":
+            raise WorkerError(reply[1])
+        return reply[1]
+
+    def start(self, model_specs: Dict[str, Dict]) -> None:
+        """Nothing to launch: the host already holds the live models."""
+
+    def start_probing(self) -> None:
+        """Nothing to probe: the one shard is this process."""
 
     def route(self, model: str, condition: Optional[str]) -> int:
         return 0
 
     async def register_model(self, name: str, registered) -> None:
         """Install a live model (shares the registry's object; no round trip)."""
-        self._models[name] = registered.model
+        self._install(registered)
 
     async def unregister_model(self, name: str) -> None:
-        self._models.pop(name, None)
+        self._op("unregister", name)
 
     async def run_batch(
         self, model: str, kind: str, condition: Optional[str], shard: int,
         payloads: Sequence,
     ) -> List[Result]:
-        live = self._model(model)
+        live = self._host.models.get(model)
+        if live is None and model in self.registry:
+            live = self._install(self.registry.get(model))
         if live is None:
             from .registry import RegistryError
 
@@ -315,33 +329,23 @@ class InProcessBackend:
                 ),
             )
 
-    def stats_sync(self) -> Dict:
-        """Loop-owned stats, collected without awaiting (one atomic pass).
+    async def stats(self) -> Dict:
+        """The ``/v1/stats`` backend section (no awaits: loop-owned reads).
 
         respawns/requeued_batches keep the stats shape uniform with the
         sharded backend; an in-process backend has nothing to respawn.
         """
-        stats = {}
-        live = self._live_models()
-        for name in sorted(live):
-            stats[name] = live[name].cache_stats()
-            compiled = live[name].compiled_info()
-            if compiled is not None:
-                stats[name]["compiled"] = compiled
+        self._adopt_new()
         return {
             "mode": "in-process",
             "respawns": 0,
             "requeued_batches": 0,
-            "models": stats,
+            "models": self._op("stats"),
         }
 
-    async def stats(self) -> Dict:
-        return self.stats_sync()
-
     async def clear_caches(self) -> None:
-        for model in self._live_models().values():
-            model.clear_cache(everything=True)
-            model.clear_event_cache()
+        self._adopt_new()
+        self._op("clear")
 
     async def close(self) -> None:
         pass
@@ -416,8 +420,7 @@ class MicroBatcher:
         self._pending: Dict[tuple, _PendingBatch] = {}
         self._running: Dict[tuple, Set[asyncio.Task]] = {}
         # Counters are registry instruments (single-threaded: only
-        # touched on the event loop); the old plain-int attributes stay
-        # readable through the property shims below.
+        # touched on the event loop).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._requests = self.metrics.counter("repro.scheduler.requests")
         self._batches = self.metrics.counter("repro.scheduler.batches")

@@ -158,12 +158,15 @@ MAX_RESPAWNS_PER_CALL = 2
 class WorkerPool:
     """Shards behind transports: local worker processes plus remote nodes.
 
-    The pool supervises its shards: a shard whose endpoint dies is
-    respawned (or reconnected) from the current model specs -- digest
-    handshake included -- and the in-flight message is resent, so
-    transient deaths cost callers latency, not errors.  A shard whose
-    endpoint cannot come back is marked dead, leaves the routing ring,
-    and is revived by the probe loop when its node returns.
+    The pool is the sharded scheduler backend: it routes each batch key
+    to a shard over the consistent-hash ring of its *live* shards and
+    runs the batch there.  It supervises its shards: a shard whose
+    endpoint dies is respawned (or reconnected) from the current model
+    specs -- digest handshake included -- and the in-flight message is
+    resent, so transient deaths cost callers latency, not errors.  A
+    shard whose endpoint cannot come back is marked dead, leaves the
+    routing ring (only its share of the key space remaps), and is
+    revived by the probe loop when its node returns.
     """
 
     def __init__(self, n_workers: int,
@@ -194,14 +197,16 @@ class WorkerPool:
         #: Shards whose endpoint could not be brought back; they are out
         #: of the routing ring until the probe loop revives them.
         self._dead: set = set()
-        #: Bumped on every death/revival; routing layers use it to know
-        #: when to rebuild their live-shard ring.
-        self.membership_version = 0
+        #: The live shards and their routing ring, rebuilt on every
+        #: death/revival (``None`` while no shard is live).
+        self._live: List[int] = []
+        self._ring: Optional[HashRing] = None
+        self._rebuild_ring()
+        self._round_robin = 0
         self._shard_respawns: Dict[int, int] = {}
         self._probe_task: Optional[asyncio.Task] = None
         # Supervision counters (event-loop-only mutation), surfaced on
-        # ``/v1/stats`` via :meth:`WorkerPoolBackend.stats` and on
-        # ``/metrics``.
+        # ``/v1/stats`` via :meth:`stats` and on ``/metrics``.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._respawns = self.metrics.counter("repro.pool.respawns")
         self._requeued = self.metrics.counter("repro.pool.requeued_batches")
@@ -226,25 +231,47 @@ class WorkerPool:
         whose requeue has not landed yet.
         """
         self._respawns.inc()
-        per_shard = getattr(self, "_shard_respawns", None)
-        if per_shard is not None:
-            per_shard[shard] = per_shard.get(shard, 0) + 1
+        self._shard_respawns[shard] = self._shard_respawns.get(shard, 0) + 1
         obs.event("shard.respawn", shard=shard, attempt=attempt)
         if is_batch:
             self._requeued.inc()
             obs.event("batch.requeue", shard=shard, attempt=attempt)
 
+    def _rebuild_ring(self) -> None:
+        self._live = self.live_shards()
+        self._ring = HashRing(shards=self._live) if self._live else None
+
     def _mark_dead(self, shard: int, error: BaseException) -> None:
         if shard not in self._dead:
             self._dead.add(shard)
-            self.membership_version += 1
+            self._rebuild_ring()
             obs.event("shard.dead", shard=shard, error=str(error)[:200])
 
     def _mark_live(self, shard: int) -> None:
         if shard in self._dead:
             self._dead.discard(shard)
-            self.membership_version += 1
+            self._rebuild_ring()
             obs.event("shard.revived", shard=shard)
+
+    def route(self, model: str, condition: Optional[str]) -> int:
+        """Pick the shard for a routing key.
+
+        ``condition`` is the request's routing key: the condition text
+        for one-shot conditioned queries, or a **session affinity key**
+        (stable as the session's chain grows) for the session tier -- so
+        a whole posterior chain lands on one cache-warm shard.  When
+        that shard dies, the ring rebuild remaps only its keyspace: the
+        next batch routes to a survivor, which re-establishes the chain
+        deterministically from the conditions shipped with the batch
+        (the same replay argument as respawn-and-resend).
+        """
+        if self._ring is None:
+            return 0  # nothing live: dispatch reports the outage
+        if condition is not None:
+            # Cache affinity: one posterior chain -> one shard.
+            return self._ring.route("%s|%s" % (model, condition))
+        self._round_robin = (self._round_robin + 1) % len(self._live)
+        return self._live[self._round_robin]
 
     def fault_points(self) -> List[tuple]:
         """``(shard_id, kind, pid_or_address)`` per shard, for chaos tests.
@@ -267,7 +294,8 @@ class WorkerPool:
         :meth:`InferenceService.worker_specs`).  Every shard starts
         concurrently on the pool's executor: local shards spawn, remote
         shards connect, and each runs the hello handshake.  Blocking --
-        call before serving (or from an executor thread).
+        call before serving (or from an executor thread), then
+        :meth:`start_probing` on the loop.
         """
         self._specs = {name: dict(spec) for name, spec in model_specs.items()}
         self._start_timeout = timeout
@@ -399,19 +427,26 @@ class WorkerPool:
         return await self._call(fallback, message)
 
     async def run_batch(
-        self, shard: int, model: str, kind: str, condition: Optional[str],
-        payloads: Sequence, trace: bool = False,
-    ):
-        """Run one batch on a shard.
+        self, model: str, kind: str, condition: Optional[str], shard: int,
+        payloads: Sequence,
+    ) -> List[Result]:
+        """Run one batch on a shard (failing over if the shard is dead).
 
-        Untraced calls keep the pre-tracing 5-tuple wire message and
-        return the result list; with ``trace=True`` a flag is appended
-        and the shard returns ``(results, span_payload)``.
+        Untraced batches send the 5-tuple wire message.  Under an active
+        trace the batch runs inside a ``shard.dispatch`` span, a trace
+        flag is appended to the message, and the span fragment the shard
+        ships back beside its results is grafted under that span.
         """
         message = ("batch", model, kind, condition, list(payloads))
-        if trace:
-            message = message + (True,)
-        return await self._call(shard, message)
+        tracer = obs.current()
+        if tracer is None:
+            return await self._call(shard, message)
+        node = self.shard_node(shard) or "local"
+        with tracer.span("shard.dispatch", shard=shard, node=node):
+            results, spans = await self._call(shard, message + (True,))
+            if spans:
+                tracer.graft(spans)
+        return results
 
     async def shard_stats(self) -> List[Dict]:
         """Per-shard model statistics; a dead shard reports ``{}``."""
@@ -426,6 +461,26 @@ class WorkerPool:
                 # Died while answering and could not come back: stats
                 # must describe the outage, not fail the endpoint.
                 stats.append({})
+        return stats
+
+    async def stats(self) -> Dict:
+        """The ``/v1/stats`` backend section.
+
+        The loop-owned supervision counters are read first, with no
+        await between them; only the per-shard model statistics that
+        follow need shard round trips.
+        """
+        stats = {
+            "mode": "sharded",
+            "workers": self.n_shards,
+            "local_shards": self.n_workers,
+            "respawns": self._respawns.value,
+            "requeued_batches": self._requeued.value,
+            "probe_failures": self._probe_failures.value,
+            "live_shards": self.live_shards(),
+            "nodes": self.node_stats(),
+        }
+        stats["shards"] = await self.shard_stats()
         return stats
 
     def node_stats(self) -> List[Dict]:
@@ -520,8 +575,8 @@ class WorkerPool:
 
     # -- Model lifecycle ----------------------------------------------------
 
-    async def register_model(self, name: str, spec: Dict) -> None:
-        """Ship a serialized model to every live shard; all-or-nothing.
+    async def register_model(self, name: str, registered) -> None:
+        """Ship a registered model to every live shard; all-or-nothing.
 
         Each shard deserializes the payload and acks with the digest it
         recomputed over the rebuilt graph.  Any failed shard — or any ack
@@ -538,7 +593,8 @@ class WorkerPool:
         # Publish the spec to the supervisor *before* the handshake: a
         # shard that dies mid-handshake respawns with the model already
         # seeded, and the retried register op acks idempotently.
-        self._specs[name] = dict(spec)
+        spec = wire.model_spec(registered)
+        self._specs[name] = spec
         try:
             for shard in self.live_shards():
                 digest = await self._call(shard, ("register", name, spec))
@@ -574,6 +630,7 @@ class WorkerPool:
             await self._call(shard, ("unregister", name))
 
     async def clear_caches(self) -> None:
+        """Drop every live shard's query caches and parsed-event LRUs."""
         for shard in self.live_shards():
             await self._call(shard, ("clear",))
 
@@ -614,96 +671,3 @@ class WorkerPool:
         for worker in self._workers:
             await loop.run_in_executor(None, worker.transport.join, 10)
         self.terminate()
-
-
-class WorkerPoolBackend:
-    """Scheduler backend dispatching batches to a :class:`WorkerPool`.
-
-    Routes over the pool's **live** shards: when a shard dies or
-    revives (``membership_version`` moves), the consistent-hash ring is
-    rebuilt over the surviving membership, so only the affected shard's
-    share of the key space remaps.
-    """
-
-    def __init__(self, pool: WorkerPool):
-        self.pool = pool
-        self.n_shards = pool.n_shards
-        self._ring = HashRing(pool.n_shards)
-        self._live = list(range(pool.n_shards))
-        self._ring_version = pool.membership_version
-        self._round_robin = 0
-
-    def _live_ring(self) -> Optional[HashRing]:
-        if self._ring_version != self.pool.membership_version:
-            self._live = self.pool.live_shards()
-            self._ring = HashRing(shards=self._live) if self._live else None
-            self._ring_version = self.pool.membership_version
-        return self._ring
-
-    def route(self, model: str, condition: Optional[str]) -> int:
-        """Pick the shard for a routing key.
-
-        ``condition`` is the request's routing key: the condition text
-        for one-shot conditioned queries, or a **session affinity key**
-        (stable as the session's chain grows) for the session tier — so
-        a whole posterior chain lands on one cache-warm shard.  When
-        that shard dies, the ring rebuild remaps only its keyspace: the
-        next batch routes to a survivor, which re-establishes the chain
-        deterministically from the conditions shipped with the batch
-        (the same replay argument as respawn-and-resend).
-        """
-        ring = self._live_ring()
-        if ring is None:
-            return 0  # nothing live: dispatch reports the outage
-        if condition is not None:
-            # Cache affinity: one posterior chain -> one shard.
-            return ring.route("%s|%s" % (model, condition))
-        self._round_robin = (self._round_robin + 1) % len(self._live)
-        return self._live[self._round_robin]
-
-    async def run_batch(
-        self, model: str, kind: str, condition: Optional[str], shard: int,
-        payloads: Sequence,
-    ) -> List[Result]:
-        tracer = obs.current()
-        if tracer is None:
-            return await self.pool.run_batch(shard, model, kind, condition, payloads)
-        node = self.pool.shard_node(shard) or "local"
-        with tracer.span("shard.dispatch", shard=shard, node=node):
-            results, spans = await self.pool.run_batch(
-                shard, model, kind, condition, payloads, trace=True
-            )
-            if spans:
-                tracer.graft(spans)
-        return results
-
-    def stats_sync(self) -> Dict:
-        """Loop-owned supervision counters, read without awaiting."""
-        return {
-            "mode": "sharded",
-            "workers": self.n_shards,
-            "local_shards": self.pool.n_workers,
-            "respawns": self.pool._respawns.value,
-            "requeued_batches": self.pool._requeued.value,
-            "probe_failures": self.pool._probe_failures.value,
-            "live_shards": self.pool.live_shards(),
-            "nodes": self.pool.node_stats(),
-        }
-
-    async def stats(self) -> Dict:
-        stats = self.stats_sync()
-        stats["shards"] = await self.pool.shard_stats()
-        return stats
-
-    async def register_model(self, name: str, registered) -> None:
-        """All-shard digest-ack registration (see :meth:`WorkerPool.register_model`)."""
-        await self.pool.register_model(name, wire.model_spec(registered))
-
-    async def unregister_model(self, name: str) -> None:
-        await self.pool.unregister_model(name)
-
-    async def clear_caches(self) -> None:
-        await self.pool.clear_caches()
-
-    async def close(self) -> None:
-        await self.pool.close()

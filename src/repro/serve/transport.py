@@ -244,23 +244,18 @@ class ShardHost:
             # parent refuses the registration unless every shard's ack
             # matches).  A load failure becomes an error reply.
             _, name, spec = message
-            if name in self.models:
-                # Idempotent re-register: a respawned shard is re-seeded
-                # from the pool's current specs, so a retried register
-                # handshake may find the model already loaded.  Ack it
-                # when the digest matches; a *different* digest under the
-                # same name is a genuine conflict.
-                if self.digests.get(name) == spec["digest"]:
-                    return ("registered", self.digests[name])
+            held = self.digests.get(name)
+            if held is not None and held != spec["digest"]:
+                # Unlike a handshake's replay, a register never replaces:
+                # a *different* digest under a held name is a conflict.
+                # (A matching one acks idempotently through load -- a
+                # respawned shard re-seeded from the pool's current specs
+                # may see a retried register for a model it holds.)
                 raise WorkerError(
                     "Worker %d already has model %r (digest %s != %s)."
-                    % (self.shard_id, name, self.digests.get(name),
-                       spec["digest"])
+                    % (self.shard_id, name, held, spec["digest"])
                 )
-            model, digest = _load_model_spec(name, spec)
-            self.models[name] = model
-            self.digests[name] = digest
-            return ("registered", digest)
+            return ("registered", self.load({name: spec})[name])
         if op == "unregister":
             _, name = message
             self.models.pop(name, None)

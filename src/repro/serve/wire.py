@@ -140,7 +140,9 @@ def parse_request_line(line: bytes) -> Request:
     """Decode one NDJSON request line."""
     try:
         data = json.loads(line)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
+        # A nesting-depth bomb is malformed input like any other: it
+        # fails its own line, never the body it arrived in.
         raise WireError("Request line is not valid JSON: %s" % (error,)) from error
     return parse_request(data)
 

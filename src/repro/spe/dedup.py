@@ -18,31 +18,8 @@ graphs created under :class:`~repro.spe.interning.no_interning`).
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from ..distributions import Distribution
 from .base import SPE
 from .interning import intern
-from .interning import structural_key as node_structural_key
-
-
-def distribution_key(dist: Distribution) -> Tuple:
-    """A structural key identifying a primitive distribution.
-
-    Retained for backward compatibility; the canonical implementation is
-    :meth:`Distribution.structural_key`.
-    """
-    return dist.structural_key()
-
-
-def node_key(node: SPE, child_ids: Tuple[int, ...] = None) -> Tuple:
-    """The structural key of a node (children resolved via interning).
-
-    The ``child_ids`` parameter of the legacy signature is ignored: keys
-    are now computed against the global unique table, which already
-    identifies children canonically.
-    """
-    return node_structural_key(node)
 
 
 def deduplicate(spe: SPE) -> SPE:

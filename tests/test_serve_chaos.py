@@ -92,12 +92,12 @@ class TestWorkerRespawn:
         async def main():
             try:
                 (before,) = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                    "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                 )
                 victim = local_pids(pool)[0]
                 os.kill(victim, signal.SIGKILL)
                 (after,) = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                    "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                 )
                 # Bit-identical across the respawn: the replacement
                 # deserialized the same payload and passed the same
@@ -120,7 +120,7 @@ class TestWorkerRespawn:
                 _KillAfterSend.arm(pool._workers[0].transport)
                 events = ["GPA > 3", "GPA > 2", "Nationality == 'India'"]
                 results = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, events
+                    "indian_gpa", "logprob", None, 0, events
                 )
                 model = indian_gpa.model()
                 assert results == [
@@ -138,7 +138,7 @@ class TestWorkerRespawn:
 
         async def main():
             try:
-                await pool.run_batch(0, "indian_gpa", "logprob", None, ["GPA > 3"])
+                await pool.run_batch("indian_gpa", "logprob", None, 0, ["GPA > 3"])
                 os.kill(local_pids(pool)[1], signal.SIGKILL)
                 stats = await pool.shard_stats()
                 assert len(stats) == 2  # the dead shard answered post-respawn
@@ -175,7 +175,7 @@ class TestWorkerRespawn:
                 rewrap()
                 with pytest.raises(WorkerError, match="died"):
                     await pool.run_batch(
-                        0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                        "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                     )
                 assert (
                     pool.metrics.snapshot()["repro.pool.respawns"]
@@ -204,12 +204,12 @@ class TestBlobSeededRespawn:
         async def main():
             try:
                 (before,) = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                    "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                 )
                 victim = local_pids(pool)[0]
                 os.kill(victim, signal.SIGKILL)
                 (after,) = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                    "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                 )
                 stats = await pool.shard_stats()
                 return before, after, victim, stats
@@ -241,7 +241,7 @@ class TestBlobSeededRespawn:
             host, port = await service.start()
             client = AsyncServeClient(host, port)
             try:
-                os.kill(local_pids(service.backend.pool)[0], signal.SIGKILL)
+                os.kill(local_pids(service.backend)[0], signal.SIGKILL)
                 requests = mixed_requests()
                 responses = await client.query_many(
                     requests, connections=8, retry_overloaded=8
@@ -310,12 +310,12 @@ class TestRespawn:
         async def main():
             try:
                 (before,) = await pool.run_batch(
-                    0, "noisy_or", "logprob", None, [event]
+                    "noisy_or", "logprob", None, 0, [event]
                 )
                 victim = local_pids(pool)[0]
                 os.kill(victim, signal.SIGKILL)
                 (after,) = await pool.run_batch(
-                    0, "noisy_or", "logprob", None, [event]
+                    "noisy_or", "logprob", None, 0, [event]
                 )
                 return before, after, victim
             finally:
@@ -351,7 +351,7 @@ class TestChaosUnderOverload:
                      "event": "GPA > %r" % (0.002 * i)}
                     for i in range(4 * bound)
                 ]
-                pids = local_pids(service.backend.pool)
+                pids = local_pids(service.backend)
 
                 async def kill_one_shard_midway():
                     await asyncio.sleep(0.02)
@@ -463,7 +463,7 @@ class TestTracedRespawn:
             try:
                 # Arm the deterministic mid-batch kill: the worker dies
                 # with the (traced) batch on its socket.
-                _KillAfterSend.arm(service.backend.pool._workers[0].transport)
+                _KillAfterSend.arm(service.backend._workers[0].transport)
                 response = await client.query({
                     "model": "indian_gpa", "kind": "logprob",
                     "event": "GPA > 3", "trace": True,

@@ -414,6 +414,35 @@ class TestConnectionSurvivesBadRequests:
         assert not broken["ok"]
         assert broken["error_kind"] == "WireError"
 
+    def test_nesting_bomb_line_fails_only_itself(self):
+        async def main():
+            service, client = await start_service()
+            try:
+                connection = await _Connection.open(client.host, client.port)
+                good = json.dumps(
+                    {"id": "good", "model": "indian_gpa", "kind": "logprob",
+                     "event": "GPA > 3"}
+                ).encode()
+                # One body: a valid line, then a line nested past the
+                # JSON decoder's recursion limit.
+                connection.send_request(
+                    "POST", "/v1/query", good + b"\n" + b"[" * 100000 + b"\n"
+                )
+                await connection.writer.drain()
+                body = await connection.read_response()
+                await connection.close()
+                return body
+            finally:
+                await service.close()
+
+        lines = [json.loads(line) for line in run(main()).splitlines() if line.strip()]
+        assert len(lines) == 2
+        answer, broken = lines
+        assert answer["ok"] and answer["id"] == "good"
+        assert value_of(answer) == indian_gpa.model().logprob("GPA > 3")
+        assert not broken["ok"]
+        assert broken["error_kind"] == "WireError"
+
     def test_oversized_body_gets_400_and_connection_survives(self, monkeypatch):
         import repro.serve.http as http_module
 
@@ -782,11 +811,11 @@ def assert_parse_error_then_answers(event):
         host, port = await service.start()
         client = AsyncServeClient(host, port)
         try:
-            before = service.backend.pool.fault_points()
+            before = service.backend.fault_points()
             rejected = await client.query(
                 {"model": "indian_gpa", "kind": "logprob", "event": event}
             )
-            after = service.backend.pool.fault_points()
+            after = service.backend.fault_points()
             followup = await client.query({
                 "model": "indian_gpa", "kind": "logprob", "event": "GPA > 3",
             })
@@ -864,7 +893,7 @@ class TestShardedHardening:
                     expected = posterior.logprob(by_id[response["id"]]["event"])
                     assert value_of(response) == expected
                 # -- Zero worker crashes -------------------------------------
-                for worker in service._pool._workers:
+                for worker in service.backend._workers:
                     assert worker.transport.process.is_alive()
                 stats = await client.stats()
                 assert stats["scheduler"]["shed"] == len(shed)
@@ -886,15 +915,14 @@ class TestShardedHardening:
                     assert shard_stats["indian_gpa"]["event_cache_entries"] == 0
                     assert shard_stats["indian_gpa"]["logprob"] == 0
                 # -- Failed handshake rolls back everywhere ------------------
+                from repro.serve import RegisteredModel
                 from repro.serve import WorkerError
 
                 payload = hmm.model(2).to_json()
+                tampered = RegisteredModel("hmm2_live", hmm.model(2), None)
+                tampered.digest = "tampered"
                 with pytest.raises(WorkerError, match="digest"):
-                    await service.backend.pool.register_model(
-                        "hmm2_live",
-                        {"payload": payload, "digest": "tampered",
-                         "cache_size": None},
-                    )
+                    await service.backend.register_model("hmm2_live", tampered)
                 # -- Live registration with the digest-ack handshake ---------
                 reply = await client.register_model("hmm2_live", payload=payload)
                 assert reply["ok"] and reply["shards_acked"] == 2

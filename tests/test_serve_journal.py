@@ -139,12 +139,18 @@ class TestCorruption:
         assert all(json.loads(line) for line in lines)
         assert RegistryJournal(journal.path).replay() == {}
 
-    def test_garbage_line_stops_replay_there(self, tmp_path, registered_spec):
+    @pytest.mark.parametrize(
+        "garbage", [b"not json at all", b"[" * 100000],
+        ids=["not-json", "nesting-bomb"],
+    )
+    def test_garbage_line_stops_replay_there(
+        self, tmp_path, registered_spec, garbage
+    ):
         journal = journal_at(tmp_path)
         journal.record_register(registered_spec)
         journal.close()
         with open(journal.path, "ab") as handle:
-            handle.write(b"not json at all\n")
+            handle.write(garbage + b"\n")
             handle.write(b'{"op": "unregister", "name": "indian_gpa"}\n')
 
         # WAL convention: nothing after the first bad record is trusted,

@@ -315,20 +315,19 @@ class TestStatsSnapshotConsistency:
                     {"model": "indian_gpa", "kind": "logprob", "event": "GPA > 3"}
                 )
 
-                class EvilPool:
-                    async def shard_stats(_self):
-                        # Counters move while the snapshot awaits the
-                        # "pipe round trip".
-                        service.scheduler._shed.inc(100)
-                        service._connection_sheds.inc(100)
-                        await asyncio.sleep(0)
-                        return []
+                async def evil_stats():
+                    # Counters move while the snapshot awaits the
+                    # "pipe round trip".
+                    service.scheduler._shed.inc(100)
+                    service._connection_sheds.inc(100)
+                    await asyncio.sleep(0)
+                    return {"shards": []}
 
-                service._pool = EvilPool()
+                service.backend.stats = evil_stats
                 stats = await service._stats()
                 return stats
             finally:
-                service._pool = None
+                del service.backend.stats
                 await service.close()
 
         stats = asyncio.run(main())
@@ -345,10 +344,7 @@ class TestStatsSnapshotConsistency:
         requeued batch whose respawn has not been counted."""
         from repro.serve import WorkerPool
 
-        pool = WorkerPool.__new__(WorkerPool)
-        pool.metrics = MetricsRegistry()
-        pool._respawns = pool.metrics.counter("repro.pool.respawns")
-        pool._requeued = pool.metrics.counter("repro.pool.requeued_batches")
+        pool = WorkerPool(1)  # never started: no shard process
 
         def counts():
             snapshot = pool.metrics.snapshot()

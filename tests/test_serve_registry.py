@@ -106,11 +106,3 @@ class TestLookup:
         # The payload is the exact serialized form workers deserialize.
         reloaded = SpplModel.from_json(registered.payload)
         assert spe_digest(reloaded.spe) == registered.digest
-
-    def test_clear_caches(self):
-        registry = ModelRegistry()
-        registered = registry.register_catalog("indian_gpa")
-        registered.model.logprob("GPA > 3")
-        assert registered.model.cache.total_entries() > 0
-        registry.clear_caches()
-        assert registered.model.cache.total_entries() == 0

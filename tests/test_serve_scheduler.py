@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from repro.serve import InProcessBackend
 from repro.serve import MicroBatcher
+from repro.serve import ModelRegistry
 from repro.serve import OverloadedError
 from repro.serve import wire
 from repro.serve.scheduler import ResultCache
@@ -622,6 +624,16 @@ class TestServeResultCacheIdentity:
             assert response["ok"], response
             text = (batch + batch[::-1])[response["id"]]
             assert repr(response["value"]) == want[text], (name, text)
+
+
+class TestInProcessBackend:
+    def test_clear_caches(self):
+        registry = ModelRegistry()
+        registered = registry.register_catalog("indian_gpa")
+        registered.model.logprob("GPA > 3")
+        assert registered.model.cache.total_entries() > 0
+        run(InProcessBackend(registry).clear_caches())
+        assert registered.model.cache.total_entries() == 0
 
 
 class TestZeroProbabilityErrorType:

@@ -182,7 +182,7 @@ class TestSessionSurvivesWorkerDeath:
                     )
                     # Kill every shard: whichever one held the session's
                     # warm chain is certainly dead.
-                    for _, _, pid in service._pool.fault_points():
+                    for _, _, pid in service.backend.fault_points():
                         os.kill(pid, signal.SIGKILL)
                     # The very next read replays the chain on a respawned
                     # shard and must agree with the pre-kill posterior.
@@ -192,7 +192,7 @@ class TestSessionSurvivesWorkerDeath:
                     assert after_kill == before_kill
                 response = await client.observe("fusion", event, tenant="acme")
                 assert response["ok"], response
-            assert service._pool.metrics.snapshot()["repro.pool.respawns"] >= 1
+            assert service.backend.metrics.snapshot()["repro.pool.respawns"] >= 1
             described = await client.describe_session("fusion", tenant="acme")
             assert described["chain"] == script["observes"]
             return [

@@ -48,6 +48,39 @@ class TestHashRing:
             HashRing(0)
 
 
+class TestPoolRouting:
+    """The pool's live-shard ring, driven on an unstarted pool (no
+    shard process is spawned)."""
+
+    def test_dead_shards_leave_the_ring_and_revival_restores_it(self):
+        pool = WorkerPool(4)
+        conditions = ["X < %d" % i for i in range(400)]
+
+        def mapping():
+            return {c: pool.route("m", c) for c in conditions}
+
+        try:
+            original = mapping()
+            assert set(original.values()) == {0, 1, 2, 3}
+            previous = original
+            for dead in (2, 0, 3):
+                pool._mark_dead(dead, OSError("node down"))
+                current = mapping()
+                live = set(pool.live_shards())
+                assert set(current.values()) <= live
+                assert {pool.route("m", None) for _ in range(8)} <= live
+                # Only the newly dead shard's keys move.
+                for condition in conditions:
+                    if previous[condition] != dead:
+                        assert current[condition] == previous[condition]
+                previous = current
+            for shard in (3, 0, 2):
+                pool._mark_live(shard)
+            assert mapping() == original
+        finally:
+            pool.terminate()
+
+
 @pytest.fixture(scope="module")
 def sharded_responses():
     """One 2-worker service answering a mixed stream (expensive: spawns)."""
@@ -161,10 +194,10 @@ class TestWorkerPoolLifecycle:
 
         async def main():
             try:
-                results = await pool.run_batch(0, "ghost", "logprob", None, ["x"])
+                results = await pool.run_batch("ghost", "logprob", None, 0, ["x"])
                 assert results[0][0] == "error"
                 (result,) = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                    "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                 )
                 assert result == ("ok", indian_gpa.model().logprob("GPA > 3"))
             finally:

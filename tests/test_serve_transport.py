@@ -40,7 +40,6 @@ from repro.serve import value_of
 from repro.serve import wire
 from repro.serve.sharding import HashRing
 from repro.serve.sharding import WorkerPool
-from repro.serve.sharding import WorkerPoolBackend
 from repro.serve.transport import MAX_FRAME_BYTES
 from repro.serve.transport import LocalTransport
 from repro.serve.transport import ShardHost
@@ -505,13 +504,13 @@ class TestPoolOverTcp:
                 nonlocal proc
                 try:
                     (before,) = await pool.run_batch(
-                        0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                        "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                     )
                     proc.kill()
                     proc.wait(10)
                     proc, _ = start_node(listen="127.0.0.1:%d" % port)
                     (after,) = await pool.run_batch(
-                        0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                        "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                     )
                     return before, after
                 finally:
@@ -545,14 +544,15 @@ class TestPoolOverTcp:
                     # the bounded window, the shard is marked dead, and
                     # the batch reroutes to the live local shard.
                     (result,) = await pool.run_batch(
-                        1, "indian_gpa", "logprob", None, ["GPA > 3"]
+                        "indian_gpa", "logprob", None, 1, ["GPA > 3"]
                     )
                     assert pool.live_shards() == [0]
-                    assert pool.membership_version == 1
+                    # The ring was rebuilt without the dead shard.
+                    assert pool.route("indian_gpa", "GPA > 3") == 0
                     # Later batches skip the dead shard without paying the
                     # reconnect window again.
                     (again,) = await pool.run_batch(
-                        1, "indian_gpa", "logprob", None, ["GPA > 3"]
+                        "indian_gpa", "logprob", None, 1, ["GPA > 3"]
                     )
                     return result, again
                 finally:
@@ -578,7 +578,7 @@ class TestPoolOverTcp:
                     proc.wait(10)
                     with pytest.raises(WorkerError, match="no live shard"):
                         await pool.run_batch(
-                            0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                            "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                         )
                 finally:
                     await pool.close()
@@ -599,7 +599,7 @@ class TestPoolOverTcp:
         pool = WorkerPool(1, nodes=["127.0.0.1:%d" % port])
         registry = ModelRegistry()
         pool.start({"indian_gpa": _spec(registry.register_catalog("indian_gpa"))})
-        grass_spec = wire.model_spec(registry.register_catalog("grass"))
+        grass = registry.register_catalog("grass")
 
         async def main():
             nonlocal proc
@@ -607,10 +607,10 @@ class TestPoolOverTcp:
                 proc.kill()
                 proc.wait(10)
                 # Mark the node dead (bounded reconnect fails).
-                await pool.run_batch(1, "indian_gpa", "logprob", None, ["GPA > 3"])
+                await pool.run_batch("indian_gpa", "logprob", None, 1, ["GPA > 3"])
                 assert pool.live_shards() == [0]
                 # Register while partitioned: only live shards handshake.
-                await pool.register_model("grass", grass_spec)
+                await pool.register_model("grass", grass)
                 # The node returns; the probe revives it and the hello
                 # re-ships the *current* specs -- including grass.
                 proc, _ = start_node(listen="127.0.0.1:%d" % port)
@@ -620,7 +620,7 @@ class TestPoolOverTcp:
                     await asyncio.sleep(0.1)
                 assert pool.live_shards() == [0, 1]
                 (result,) = await pool.run_batch(
-                    1, "grass", "logprob", None, ["wet_grass == 1"]
+                    "grass", "logprob", None, 1, ["wet_grass == 1"]
                 )
                 return result
             finally:
@@ -688,7 +688,7 @@ class TestProactiveProbe:
                 assert pool.metrics.snapshot()["repro.pool.respawns"] == 1
                 assert local_pids(pool)[0] != victim
                 (result,) = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                    "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                 )
                 assert result == ("ok", indian_gpa.model().logprob("GPA > 3"))
                 # No batch hit the dead shard: nothing was requeued.
@@ -753,7 +753,7 @@ class TestProactiveProbe:
                     await sweep
                 assert not worker.lock.locked()
                 (result,) = await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, ["GPA > 3"]
+                    "indian_gpa", "logprob", None, 0, ["GPA > 3"]
                 )
                 assert result == ("ok", indian_gpa.model().logprob("GPA > 3"))
             finally:
@@ -797,9 +797,9 @@ class TestProactiveProbe:
             host, port = await service.start()
             client = AsyncServeClient(host, port)
             try:
-                os.kill(local_pids(service.backend.pool)[0], signal.SIGKILL)
-                service.backend.pool._workers[0].transport.process.join(5)
-                await service.backend.pool.probe_once()
+                os.kill(local_pids(service.backend)[0], signal.SIGKILL)
+                service.backend._workers[0].transport.process.join(5)
+                await service.backend.probe_once()
                 return await client.metrics()
             finally:
                 await service.close()
@@ -925,7 +925,7 @@ class TestMultiNodeService:
             host, sport = await service.start()
             client = AsyncServeClient(host, sport)
             try:
-                points = service.backend.pool.fault_points()
+                points = service.backend.fault_points()
                 assert (1, "tcp", "127.0.0.1:%d" % port) in points
                 overload = [
                     {"id": i, "model": "indian_gpa", "kind": "logprob",

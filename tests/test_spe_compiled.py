@@ -6,14 +6,16 @@ infinities included, no tolerance anywhere.  The tests here pin that
 with property-based random layered networks, the Table-1 / HMM
 workloads (including conditioned and constrained posteriors compiled
 explicitly), the ``.spz`` blob lifecycle (round-trip, tampering,
-read-only mapping), the engine integration (routing, clear_cache
-refresh, fallback), and a cross-process check that a spawned worker
+read-only mapping), the engine integration (routing, the kernel
+surviving clear_cache), and a cross-process check that a spawned worker
 answering from an mmap'd blob matches the in-process model exactly.
 """
 
 import asyncio
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -323,7 +325,7 @@ class TestSpzBlob:
 
 
 # ---------------------------------------------------------------------------
-# Engine integration: routing, clear_cache refresh, fallback.
+# Engine integration: routing, the kernel surviving clear_cache.
 # ---------------------------------------------------------------------------
 
 class TestEngineIntegration:
@@ -351,29 +353,49 @@ class TestEngineIntegration:
         model.compile(path=str(path))  # same content: not rewritten
         assert path.stat().st_mtime_ns == stamp
 
-    def test_clear_cache_refreshes_blob_handle_without_stale_mmap(self, tmp_path):
-        model = SpplModel(compile_command(TABLE1_MODELS["Alarm"]()))
-        path = tmp_path / "alarm.spz"
-        model.compile(path=str(path))
-        before = model.compiled
-        value = model.logprob("burglary == 1")
-        model.clear_cache()
-        after = model.compiled
-        assert after is not before
-        assert before.closed and not after.closed
-        assert after.source_path == str(path)
-        assert model.logprob("burglary == 1") == value
-
-    def test_clear_cache_falls_back_when_blob_vanishes(self, tmp_path):
+    def test_clear_cache_answers_after_blob_vanishes(self, tmp_path):
         model = SpplModel(compile_command(TABLE1_MODELS["Alarm"]()))
         path = tmp_path / "alarm.spz"
         model.compile(path=str(path))
         (value,) = model.logprob_batch(["burglary == 1"])
         os.unlink(path)
         model.clear_cache()
-        assert model.compiled is not None and not model.compiled.closed
-        assert model.compiled_info()["mmap"] is False
         assert model.logprob_batch(["burglary == 1"]) == [value]
+
+    def test_clear_cache_does_not_race_kernel_batches(self, tmp_path):
+        """The kernel is immutable, so a clear leaves it attached: batches
+        on another thread keep answering, bit-identically, throughout."""
+        model = SpplModel(compile_command(TABLE1_MODELS["Alarm"]()))
+        model.compile(path=str(tmp_path / "alarm.spz"))
+        kernel = model.compiled
+        events = _event_battery(model, np.random.default_rng(3), 24)
+        expected = model.logprob_batch(events)
+        answers, errors = [], []
+        done = threading.Event()
+
+        def batches():
+            while not done.is_set():
+                try:
+                    answers.append(model.logprob_batch(events))
+                except Exception as error:
+                    errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        worker = threading.Thread(target=batches)
+        worker.start()
+        try:
+            for _ in range(300):
+                model.clear_cache(everything=True)
+        finally:
+            done.set()
+            worker.join()
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert answers
+        for answer in answers:
+            assert_bits_equal(answer, expected)
+        assert model.compiled is kernel and not kernel.closed
 
     def test_from_spz_is_bit_identical(self, tmp_path):
         source = SpplModel(compile_command(TABLE1_MODELS["Alarm"]()))
@@ -437,7 +459,7 @@ class TestCrossProcessBlob:
         async def main():
             try:
                 return await pool.run_batch(
-                    0, "indian_gpa", "logprob", None, events
+                    "indian_gpa", "logprob", None, 0, events
                 )
             finally:
                 await pool.close()
