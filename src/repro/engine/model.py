@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-import time
 from collections import OrderedDict
 from typing import Dict
 from typing import Iterable
@@ -132,17 +131,9 @@ class SpplModel:
             )
         self._event_cache: "OrderedDict[str, Event]" = OrderedDict()
         self._event_cache_lock = threading.Lock()
-        # Ragged logpdf batches dispatched through the kernel per
-        # scope-signature group (counters surfaced by cache_stats).
-        self._logpdf_grouped_batches = 0
-        self._logpdf_grouped_fallbacks = 0
         # Optional compiled columnar kernel (see repro.spe.compiled);
         # batched queries route through it when attached.
         self._compiled = None
-        # (monotonic time, eviction count) at the previous cache_stats()
-        # call; the pair turns the monotone eviction counter into an
-        # evictions/sec pressure signal without touching the query path.
-        self._eviction_mark = (None, 0)
 
     # -- Construction ---------------------------------------------------------
 
@@ -250,11 +241,8 @@ class SpplModel:
     def cache_stats(self) -> Dict[str, int]:
         """Entry counts plus hit/miss/eviction counters of the cache.
 
-        Also reports ``evictions_per_s`` — the eviction rate since the
-        previous ``cache_stats()`` call on this model (0.0 on the first
-        call).  A sustained positive rate means the working set exceeds
-        the cache budget (eviction pressure); the serve stats endpoint
-        surfaces it per model so operators can resize budgets.
+        A read-only snapshot.  The monotone ``evictions`` counter is the
+        eviction-pressure signal; a scraper derives its rate.
         """
         if self._cache is None:
             stats: Dict[str, int] = {"enabled": 0}
@@ -263,23 +251,9 @@ class SpplModel:
             stats["enabled"] = 1
             stats["hits"] = self._cache.hits
             stats["misses"] = self._cache.misses
-            stats["evictions_per_s"] = self._eviction_rate(stats.get("evictions", 0))
         with self._event_cache_lock:
             stats["event_cache_entries"] = len(self._event_cache)
-        if self._logpdf_grouped_batches:
-            stats["logpdf_grouped_batches"] = self._logpdf_grouped_batches
-            stats["logpdf_grouped_fallbacks"] = self._logpdf_grouped_fallbacks
         return stats
-
-    def _eviction_rate(self, evictions: int) -> float:
-        now = time.monotonic()
-        last_time, last_evictions = self._eviction_mark
-        self._eviction_mark = (now, evictions)
-        if last_time is None or now <= last_time:
-            return 0.0
-        # max(0, ...): clear() resets the counter, which must not read as
-        # a negative rate.
-        return round(max(0, evictions - last_evictions) / (now - last_time), 3)
 
     def clear_event_cache(self) -> None:
         """Drop the parsed-event LRU (textual queries re-parse on next use)."""
@@ -465,8 +439,9 @@ class SpplModel:
 
         Routed through the compiled kernel when one is attached and the
         batch fits its columnar fast path (uniform keys, no transformed
-        variables); the kernel declines otherwise and the batch falls
-        back to the cached interpreted traversal.
+        variables); the kernel declines otherwise -- a ragged batch
+        included -- and the batch falls back to the cached interpreted
+        traversal.
         """
         tracer = obs.current()
         if tracer is not None:
@@ -485,57 +460,11 @@ class SpplModel:
             routed = self._compiled.logpdf_batch(assignments)
             if routed is not None:
                 return routed, "compiled"
-            fallbacks = self._logpdf_grouped_fallbacks
-            grouped = self._logpdf_batch_grouped(assignments)
-            if grouped is not None:
-                obs.bump(
-                    "logpdf_grouped_fallbacks",
-                    self._logpdf_grouped_fallbacks - fallbacks,
-                )
-                return grouped, "compiled-grouped"
         memo = self._memo(memo)
         return (
             [self.spe.logpdf(assignment, memo=memo) for assignment in assignments],
             "interpreted",
         )
-
-    def _logpdf_batch_grouped(
-        self, assignments: Sequence[Dict[str, object]]
-    ) -> Optional[List[float]]:
-        """Ragged-batch kernel dispatch: group rows by scope signature.
-
-        The compiled kernel declines whole batches whose rows assign
-        different variable subsets.  Rows sharing a signature still form a
-        uniform sub-batch, so each group is dispatched to the kernel
-        separately and only groups the kernel itself declines (derived or
-        out-of-scope variables) fall back to the interpreter, row-aligned
-        with the original batch.  Returns ``None`` when grouping cannot
-        help (non-dict rows, or fewer than two distinct signatures).
-        """
-        signatures = []
-        for assignment in assignments:
-            if not isinstance(assignment, dict):
-                return None
-            signatures.append(frozenset(assignment))
-        if len(set(signatures)) < 2:
-            return None
-        groups: "OrderedDict[frozenset, List[int]]" = OrderedDict()
-        for index, signature in enumerate(signatures):
-            groups.setdefault(signature, []).append(index)
-        self._logpdf_grouped_batches += 1
-        out: List[Optional[float]] = [None] * len(assignments)
-        memo = None
-        for indices in groups.values():
-            sub = [assignments[index] for index in indices]
-            routed = self._compiled.logpdf_batch(sub)
-            if routed is None:
-                self._logpdf_grouped_fallbacks += 1
-                if memo is None:
-                    memo = self._memo(None)
-                routed = [self.spe.logpdf(a, memo=memo) for a in sub]
-            for index, value in zip(indices, routed):
-                out[index] = value
-        return out
 
     def _spawn(self, posterior: SPE) -> "SpplModel":
         """Wrap a posterior expression, inheriting the cache."""

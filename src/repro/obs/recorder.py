@@ -43,6 +43,8 @@ class FlightRecorder:
     ):
         if capacity < 1:
             raise ValueError("FlightRecorder capacity must be positive.")
+        if slow_query_ms is not None and slow_query_ms < 0:
+            raise ValueError("slow_query_ms must be non-negative.")
         self.capacity = capacity
         self.slow_query_ms = slow_query_ms
         self._slow_log_path = slow_query_log

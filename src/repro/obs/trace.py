@@ -15,14 +15,14 @@ order:
 * **Asyncio-propagated, executor-explicit.**  The active trace rides a
   :class:`contextvars.ContextVar`, so it flows through ``await`` chains
   within a task for free.  ``run_in_executor`` does *not* carry context
-  into the worker thread, so the scheduler captures :func:`current` on
-  the event loop and hands it to :func:`repro.serve.scheduler.evaluate_batch`
-  explicitly, which re-activates it on the executor thread.
+  into the worker thread, so a batch crosses that boundary the way it
+  crosses a shard socket: a ``traced`` flag on the message, and a
+  fragment built on the far side (below).
 * **Process-portable fragments.**  Worker shards cannot share the
   parent's clock or objects; they build their own :class:`Trace`, fold
   it to a plain dict (:meth:`Trace.to_payload`) that crosses the shard socket,
-  and the parent grafts it under the dispatch span
-  (:meth:`Trace.graft`).  Offsets inside a payload are relative to the
+  and the parent grafts it under the active span -- the dispatch span
+  when sharded (:meth:`Trace.graft`).  Offsets inside a payload are relative to the
   span's own parent, so grafted subtrees stay internally consistent
   without any cross-process clock rebasing.
 

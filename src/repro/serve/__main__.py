@@ -23,9 +23,13 @@ import os
 import signal
 import sys
 
+from ..obs.recorder import DEFAULT_TRACE_CAPACITY
+from .http import DEFAULT_MAX_INFLIGHT_PER_CONNECTION
 from .http import InferenceService
 from .registry import ModelRegistry
 from .registry import RegistryJournal
+from .scheduler import DEFAULT_MAX_QUEUED_PER_KEY
+from .sessions import DEFAULT_MAX_SESSIONS
 
 #: ``--workers auto`` never spawns more than this many shards: past a
 #: handful of workers the shard fan-out and per-shard cache duplication
@@ -104,17 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-queued-per-key",
         type=int,
-        default=None,
+        default=DEFAULT_MAX_QUEUED_PER_KEY,
         metavar="N",
         help="shed (429) past N queued requests per batch key "
-        "(default: the scheduler's bound; 0 disables shedding)",
+        "(default %(default)s; 0 disables shedding)",
     )
     parser.add_argument(
         "--max-inflight-per-conn",
         type=int,
-        default=None,
+        default=DEFAULT_MAX_INFLIGHT_PER_CONNECTION,
         metavar="N",
-        help="shed (HTTP 429) past N in-flight pipelined queries per connection",
+        help="shed (HTTP 429) past N in-flight pipelined queries per "
+        "connection (default %(default)s)",
     )
     parser.add_argument(
         "--max-queued-per-tenant",
@@ -128,10 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-sessions",
         type=int,
-        default=None,
+        default=DEFAULT_MAX_SESSIONS,
         metavar="N",
         help="simultaneously open posterior sessions across all tenants; "
-        "past N the least-recently-used session is evicted (default 1024)",
+        "past N the least-recently-used session is evicted "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--session-ttl-s",
@@ -192,9 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace-capacity",
         type=int,
-        default=256,
+        default=DEFAULT_TRACE_CAPACITY,
         metavar="N",
-        help="completed traces retained for GET /v1/trace/<id> (default 256)",
+        help="completed traces retained for GET /v1/trace/<id> "
+        "(default %(default)s)",
     )
     return parser
 
@@ -242,54 +249,32 @@ async def run(args: argparse.Namespace) -> int:
         for address in (args.nodes or "").split(",")
         if address.strip()
     ]
-    if args.probe_interval_ms < 0:
-        raise SystemExit("--probe-interval-ms must be non-negative.")
-    service_kwargs = {}
-    if args.max_queued_per_key is not None:
-        if args.max_queued_per_key < 0:
-            raise SystemExit("--max-queued-per-key must be >= 0 (0 disables).")
-        service_kwargs["max_queued_per_key"] = args.max_queued_per_key or None
-    if args.max_inflight_per_conn is not None:
-        if args.max_inflight_per_conn < 1:
-            raise SystemExit("--max-inflight-per-conn must be >= 1.")
-        service_kwargs["max_inflight_per_connection"] = args.max_inflight_per_conn
-    if args.max_queued_per_tenant is not None:
-        if args.max_queued_per_tenant < 1:
-            raise SystemExit("--max-queued-per-tenant must be >= 1.")
-        service_kwargs["max_queued_per_tenant"] = args.max_queued_per_tenant
-    if args.max_sessions is not None:
-        if args.max_sessions < 1:
-            raise SystemExit("--max-sessions must be >= 1.")
-        service_kwargs["max_sessions"] = args.max_sessions
-    if args.session_ttl_s is not None:
-        if args.session_ttl_s <= 0:
-            raise SystemExit("--session-ttl-s must be positive.")
-        service_kwargs["session_ttl_s"] = args.session_ttl_s
-    if args.max_sessions_per_tenant is not None:
-        if args.max_sessions_per_tenant < 1:
-            raise SystemExit("--max-sessions-per-tenant must be >= 1.")
-        service_kwargs["max_sessions_per_tenant"] = args.max_sessions_per_tenant
-    if not 0.0 <= args.trace_sample <= 1.0:
-        raise SystemExit("--trace-sample must be in [0, 1].")
-    if args.slow_query_ms is not None and args.slow_query_ms < 0:
-        raise SystemExit("--slow-query-ms must be non-negative.")
-    if args.trace_capacity < 1:
-        raise SystemExit("--trace-capacity must be >= 1.")
-    service = InferenceService(
-        registry,
-        workers=workers,
-        max_batch=args.max_batch,
-        host=args.host,
-        port=args.port,
-        journal=journal,
-        trace_sample=args.trace_sample,
-        slow_query_ms=args.slow_query_ms,
-        slow_query_log=args.slow_query_log,
-        trace_capacity=args.trace_capacity,
-        nodes=nodes,
-        probe_interval_ms=args.probe_interval_ms,
-        **service_kwargs,
-    )
+    try:
+        service = InferenceService(
+            registry,
+            workers=workers,
+            max_batch=args.max_batch,
+            host=args.host,
+            port=args.port,
+            # CLI-only spelling: 0 means no per-key bound.
+            max_queued_per_key=args.max_queued_per_key or None,
+            max_inflight_per_connection=args.max_inflight_per_conn,
+            journal=journal,
+            trace_sample=args.trace_sample,
+            slow_query_ms=args.slow_query_ms,
+            slow_query_log=args.slow_query_log,
+            trace_capacity=args.trace_capacity,
+            nodes=nodes,
+            probe_interval_ms=args.probe_interval_ms,
+            max_queued_per_tenant=args.max_queued_per_tenant,
+            max_sessions=args.max_sessions,
+            session_ttl_s=args.session_ttl_s,
+            max_sessions_per_tenant=args.max_sessions_per_tenant,
+        )
+    except ValueError as error:
+        # The constructors own option validation; a bad value is a
+        # usage error here.
+        raise SystemExit("repro.serve: %s" % (error,))
     host, port = await service.start()
     print(
         "repro.serve listening on %s:%d (models: %s; workers: %d%s)"

@@ -947,7 +947,7 @@ class InferenceService:
                 lambda: self.registry.prepare(name, model, cache_size=cache_size),
             )
             try:
-                await self.backend.register_model(name, registered)
+                acked = await self.backend.register_model(name, registered)
             except (WorkerError, OSError, EOFError) as error:
                 # WorkerError covers refusals; OSError/EOFError cover a
                 # worker dying mid-handshake — both are server-side 5xx,
@@ -981,7 +981,7 @@ class InferenceService:
                 "ok": True,
                 "model": name,
                 "digest": registered.digest,
-                "shards_acked": self.backend.n_shards,
+                "shards_acked": len(acked),
                 "journaled": self.journal is not None,
             },
         )

@@ -54,7 +54,7 @@ from typing import Optional
 
 from .transport import ShardHost
 from .transport import WorkerError
-from .transport import encode_reply
+from .transport import encode_frame
 from .transport import parse_address
 from .transport import read_frame
 
@@ -106,7 +106,7 @@ def serve_shard(sock: socket.socket, blob_dir: Optional[str] = None,
         try:
             while True:
                 reply = host.handle(read_frame(reader).get("msg"))
-                sock.sendall(encode_reply(reply))
+                sock.sendall(encode_frame({"reply": list(reply)}))
                 if reply[0] == "stopped":
                     # Stop ends this shard context, not the node: other
                     # connections keep serving.
@@ -130,11 +130,11 @@ def _hello(sock: socket.socket, reader, blob_dir: Optional[str]) -> Optional[Sha
         host = ShardHost(int(message[1]))
         digests = host.load(resolve_blob_paths(message[2] or {}, blob_dir))
     except Exception as error:
-        sock.sendall(encode_reply(
-            ("init_error", "%s: %s" % (type(error).__name__, error))
+        sock.sendall(encode_frame(
+            {"reply": ["init_error", "%s: %s" % (type(error).__name__, error)]}
         ))
         return None
-    sock.sendall(encode_reply(("ready", digests)))
+    sock.sendall(encode_frame({"reply": ["ready", digests]}))
     return host
 
 

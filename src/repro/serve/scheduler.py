@@ -27,7 +27,6 @@ more requests the next one coalesces.
 from __future__ import annotations
 
 import asyncio
-import functools
 import math
 from typing import Dict
 from typing import List
@@ -44,6 +43,7 @@ from ..obs import Trace
 from . import wire
 from .transport import ShardHost
 from .transport import WorkerError
+from .transport import batch_rows
 from .wire import LatencyHistogram
 from .wire import Result
 
@@ -128,16 +128,16 @@ class ResultCache:
 
 
 def evaluate_batch(
-    model: SpplModel, kind: str, condition: Optional[str], payloads: Sequence,
-    *, tracer=None,
+    model: SpplModel, kind: str, condition: Optional[str], payloads: Sequence
 ) -> List[Result]:
     """Evaluate one coalesced batch against a model (pure, process-agnostic).
 
-    This is the single evaluation routine shared by the in-process
-    backend and the worker processes, so sharded and unsharded
-    deployments are bit-identical by construction.  The whole batch runs
-    inside one :meth:`~repro.engine.SpplModel.query_scope`, pinning every
-    cache entry it touches against eviction until the batch completes.
+    The engine half of the ``batch`` op of
+    :class:`~repro.serve.transport.ShardHost`, which both backends run,
+    so sharded and unsharded deployments are bit-identical by
+    construction.  The whole batch runs inside one
+    :meth:`~repro.engine.SpplModel.query_scope`, pinning every cache
+    entry it touches against eviction until the batch completes.
 
     Requests sharing one :meth:`ResultCache.key` (duplicates coalesced
     into the same batch) are hoisted: one representative per key reaches
@@ -146,22 +146,7 @@ def evaluate_batch(
     A failing ``condition`` fails the whole batch (all its requests share
     the condition); a failing individual event falls back to per-item
     evaluation so one bad request cannot poison its batch-mates.
-
-    ``tracer`` carries the batch's :class:`repro.obs.Trace` across the
-    ``run_in_executor`` (or shard-socket) boundary — context variables do
-    not cross threads or processes, so the scheduler captures the active
-    trace on the event loop and this function re-activates it here,
-    where the engine's instrumentation points can see it.
     """
-    if tracer is not None:
-        with obs.activate(tracer):
-            return _evaluate_hoisted(model, kind, condition, payloads)
-    return _evaluate_hoisted(model, kind, condition, payloads)
-
-
-def _evaluate_hoisted(
-    model: SpplModel, kind: str, condition, payloads: Sequence
-) -> List[Result]:
     # One representative evaluation per distinct key; keyless rows
     # (uncacheable payloads) are always evaluated individually.
     representatives: List[int] = []
@@ -268,10 +253,9 @@ class InProcessBackend:
         self._host = ShardHost(0)
         self._adopt_new()
 
-    def _install(self, registered) -> SpplModel:
+    def _install(self, registered) -> None:
         self._host.models[registered.name] = registered.model
         self._host.digests[registered.name] = registered.digest
-        return registered.model
 
     def _adopt_new(self) -> None:
         """Adopt models registered directly on the registry after
@@ -296,9 +280,11 @@ class InProcessBackend:
     def route(self, model: str, condition: Optional[str]) -> int:
         return 0
 
-    async def register_model(self, name: str, registered) -> None:
-        """Install a live model (shares the registry's object; no round trip)."""
+    async def register_model(self, name: str, registered) -> List[int]:
+        """Install a live model (shares the registry's object; no round
+        trip); the one shard, 0, holds it."""
         self._install(registered)
+        return [0]
 
     async def unregister_model(self, name: str) -> None:
         self._op("unregister", name)
@@ -307,27 +293,23 @@ class InProcessBackend:
         self, model: str, kind: str, condition: Optional[str], shard: int,
         payloads: Sequence,
     ) -> List[Result]:
-        live = self._host.models.get(model)
-        if live is None and model in self.registry:
-            live = self._install(self.registry.get(model))
-        if live is None:
-            from .registry import RegistryError
+        """Run one batch through the host's ``batch`` op on the executor.
 
-            return wire.error_results(
-                RegistryError("Model %r is not being served." % (model,)),
-                len(payloads),
-            )
-        loop = asyncio.get_running_loop()
-        # Contextvars do not cross run_in_executor: capture the active
-        # trace here, on the loop, and hand it through explicitly.
-        tracer = obs.current()
+        The message and reply are the shapes a worker shard exchanges;
+        contextvars do not cross ``run_in_executor``, so the host builds
+        its own ``worker.batch`` fragment when asked and
+        :func:`~repro.serve.transport.batch_rows` grafts it here, on
+        the loop.
+        """
+        if model not in self._host.models and model in self.registry:
+            self._install(self.registry.get(model))
+        message = ("batch", model, kind, condition, list(payloads),
+                   obs.current() is not None)
         async with self._semaphore:
-            return await loop.run_in_executor(
-                None,
-                functools.partial(
-                    evaluate_batch, live, kind, condition, payloads, tracer=tracer
-                ),
+            reply = await asyncio.get_running_loop().run_in_executor(
+                None, self._host.handle, message
             )
+        return batch_rows(reply)
 
     async def stats(self) -> Dict:
         """The ``/v1/stats`` backend section (no awaits: loop-owned reads).
@@ -466,10 +448,6 @@ class MicroBatcher:
     def drop_result_cache(self, model: str) -> None:
         """Forget ``model``'s result cache (the model was unregistered)."""
         self._result_caches.pop(model, None)
-
-    def queued_for_tenant(self, tenant: str) -> int:
-        """Admitted-but-unanswered request count against one tenant."""
-        return self._queued_tenants.get(tenant, 0)
 
     def inflight(self, model: str) -> int:
         """Admitted-but-unanswered request count against one model."""

@@ -82,6 +82,7 @@ from .transport import LocalTransport
 from .transport import TcpTransport
 from .transport import TransportConnectError
 from .transport import WorkerError
+from .transport import batch_rows
 from .wire import Result
 
 
@@ -178,6 +179,10 @@ class WorkerPool:
             raise ValueError("WorkerPool needs at least one worker.")
         if n_workers < 0:
             raise ValueError("WorkerPool needs a non-negative worker count.")
+        if probe_interval_ms < 0:
+            raise ValueError(
+                "probe_interval_ms must be non-negative (0 disables probing)."
+            )
         self.n_workers = n_workers
         self.probe_interval_ms = probe_interval_ms
         self._workers: List[_Worker] = []
@@ -361,7 +366,8 @@ class WorkerPool:
         :data:`MAX_RESPAWNS_PER_CALL`.  A shard whose endpoint cannot
         come back is marked dead and the message **fails over** to a
         live shard (batches re-route; control ops raise, and their
-        callers skip dead shards up front).
+        callers skip dead shards up front).  Returns the whole reply
+        tuple; an ``("error", text)`` reply raises :class:`WorkerError`.
         """
         worker = self._workers[shard]
         loop = asyncio.get_running_loop()
@@ -402,7 +408,7 @@ class WorkerPool:
             return await self._failover(shard, message)
         if reply[0] == "error":
             raise WorkerError(reply[1])
-        return reply[1]
+        return reply
 
     async def _failover(self, dead_shard: int, message: tuple):
         """Re-route a message whose shard is dead to a surviving one."""
@@ -432,21 +438,15 @@ class WorkerPool:
     ) -> List[Result]:
         """Run one batch on a shard (failing over if the shard is dead).
 
-        Untraced batches send the 5-tuple wire message.  Under an active
-        trace the batch runs inside a ``shard.dispatch`` span, a trace
-        flag is appended to the message, and the span fragment the shard
-        ships back beside its results is grafted under that span.
+        The batch runs inside a ``shard.dispatch`` span (a no-op when
+        untraced), under which :func:`~repro.serve.transport.batch_rows`
+        grafts the fragment a traced batch's shard ships back.
         """
-        message = ("batch", model, kind, condition, list(payloads))
-        tracer = obs.current()
-        if tracer is None:
-            return await self._call(shard, message)
+        message = ("batch", model, kind, condition, list(payloads),
+                   obs.current() is not None)
         node = self.shard_node(shard) or "local"
-        with tracer.span("shard.dispatch", shard=shard, node=node):
-            results, spans = await self._call(shard, message + (True,))
-            if spans:
-                tracer.graft(spans)
-        return results
+        with obs.span("shard.dispatch", shard=shard, node=node):
+            return batch_rows(await self._call(shard, message))
 
     async def shard_stats(self) -> List[Dict]:
         """Per-shard model statistics; a dead shard reports ``{}``."""
@@ -456,7 +456,7 @@ class WorkerPool:
                 stats.append({})
                 continue
             try:
-                stats.append(await self._call(shard, ("stats",)))
+                stats.append((await self._call(shard, ("stats",)))[1])
             except WorkerError:
                 # Died while answering and could not come back: stats
                 # must describe the outage, not fail the endpoint.
@@ -575,7 +575,7 @@ class WorkerPool:
 
     # -- Model lifecycle ----------------------------------------------------
 
-    async def register_model(self, name: str, registered) -> None:
+    async def register_model(self, name: str, registered) -> List[int]:
         """Ship a registered model to every live shard; all-or-nothing.
 
         Each shard deserializes the payload and acks with the digest it
@@ -588,16 +588,17 @@ class WorkerPool:
         set (journal-replay semantics).  The handshake is deliberately
         sequential (registration is rare); parallelizing it would
         shorten the lifecycle lock's hold time on wide pools at the cost
-        of a racier rollback.
+        of a racier rollback.  Returns the ids of the shards that acked.
         """
         # Publish the spec to the supervisor *before* the handshake: a
         # shard that dies mid-handshake respawns with the model already
         # seeded, and the retried register op acks idempotently.
         spec = wire.model_spec(registered)
         self._specs[name] = spec
+        acked = self.live_shards()
         try:
-            for shard in self.live_shards():
-                digest = await self._call(shard, ("register", name, spec))
+            for shard in acked:
+                _, digest = await self._call(shard, ("register", name, spec))
                 # The worker stored the model before replying; a
                 # worker-side mismatch raises before storing, so this
                 # parent-side check is defense in depth.
@@ -619,6 +620,7 @@ class WorkerPool:
                 except (WorkerError, OSError, EOFError):
                     pass  # roll back best-effort; the original error wins
             raise
+        return acked
 
     async def unregister_model(self, name: str) -> None:
         """Drop a model (and its caches) from every live shard."""

@@ -41,13 +41,16 @@ The contract, driven from the pool's executor threads:
   (``"tcp"``).
 
 Frame format: a 4-byte big-endian payload length, then a UTF-8 JSON
-object -- ``{"msg": [...]}`` requests, ``{"reply": [...]}`` replies
-(batch replies add ``"traced": true`` when they carry a span fragment
-beside the results).  JSON is encoded with ``allow_nan=True`` so the
-non-finite floats exact inference produces (``logprob`` of an impossible
-event is exactly ``-inf``) cross the socket natively, and finite floats
-round-trip bit-exactly through shortest-repr.  Tuples flatten to JSON
-arrays; :func:`decode_reply` restores the result-row tuples.
+object -- ``{"msg": [...]}`` requests, ``{"reply": [...]}`` replies.  A
+batch is always ``["batch", model, kind, condition, payloads, traced]``
+and its reply always ``["results", rows, spans]``, with ``spans`` null
+unless ``traced`` asked for a span fragment.  JSON is encoded with
+``allow_nan=True`` so the non-finite floats exact inference produces
+(``logprob`` of an impossible event is exactly ``-inf``) cross the
+socket natively, and finite floats round-trip bit-exactly through
+shortest-repr.  Tuples flatten to JSON arrays; :func:`decode_reply`
+restores the result-row tuples, and :func:`batch_rows` unpacks a batch
+reply for either backend.
 """
 
 from __future__ import annotations
@@ -58,11 +61,14 @@ import socket
 import struct
 import time
 from typing import Dict
+from typing import List
 from typing import Optional
 from typing import Tuple
 
+from .. import obs
 from ..obs import Trace
 from . import wire
+from .wire import Result
 
 
 class WorkerError(RuntimeError):
@@ -190,17 +196,16 @@ class ShardHost:
         if op == "ping":
             return ("pong", self.shard_id)
         if op == "batch":
-            # 5-tuple: the untraced shape.  6-tuple: a trailing trace
-            # flag; the shard then builds its own span fragment — clocks
-            # and objects do not cross the channel — and ships it back
-            # beside the results for the parent to graft under its
-            # dispatch span.
-            name, kind, condition, payloads = message[1:5]
+            # The one batch evaluation of every deployment.  ``traced``
+            # asks for a span fragment: the shard builds its own trace --
+            # clocks and objects do not cross the channel -- and ships it
+            # back beside the rows for the caller to graft; an untraced
+            # reply carries ``None`` in its place.
+            _, name, kind, condition, payloads, traced = message
             # JSON framing decodes chain tuples as lists; re-canonicalize
             # so batch evaluation and its duplicate keys see the hashable
             # shape.
             condition = wire.normalize_condition(condition)
-            traced = len(message) > 5 and bool(message[5])
             tracer = (
                 Trace(name="worker.batch", tags={"worker": self.shard_id})
                 if traced
@@ -208,19 +213,18 @@ class ShardHost:
             )
             model = self.models.get(name)
             if model is None:
-                results = wire.error_results(
+                rows = wire.error_results(
                     WorkerError(
                         "Worker %d has no model %r." % (self.shard_id, name)
                     ),
                     len(payloads),
                 )
             else:
-                results = evaluate_batch(
-                    model, kind, condition, payloads, tracer=tracer
-                )
-            if tracer is not None:
-                return ("results", (results, tracer.to_payload()))
-            return ("results", results)
+                # Always activate, even None: an untraced batch must not
+                # attach spans to a trace the calling thread has active.
+                with obs.activate(tracer):
+                    rows = evaluate_batch(model, kind, condition, payloads)
+            return ("results", rows, None if tracer is None else tracer.to_payload())
         if op == "stats":
             stats = {}
             for name, model in sorted(self.models.items()):
@@ -351,37 +355,37 @@ def read_frame(reader) -> Dict:
     return decode_frame(payload)
 
 
-def encode_reply(reply: tuple) -> bytes:
-    """Frame one shard reply, tagging traced batch replies.
-
-    A traced batch reply is ``("results", (rows, span_payload))`` --
-    JSON cannot distinguish that 2-tuple from a plain row list once
-    flattened, so the frame carries an explicit ``"traced"`` flag for
-    :func:`decode_reply` to key on.
-    """
-    if reply[0] == "results" and isinstance(reply[1], tuple):
-        return encode_frame({"reply": ["results", list(reply[1])], "traced": True})
-    return encode_frame({"reply": list(reply)})
-
-
 def decode_reply(frame: Dict) -> tuple:
     """Restore the reply tuple from a decoded frame.
 
     JSON flattened the reply tuple (and each result row) to arrays; this
-    rebuilds ``("results", [("ok", v), ...])`` — or the traced
-    ``("results", (rows, span_payload))`` shape when the frame carries
-    ``"traced": true``.
+    rebuilds ``("results", [("ok", v), ...], spans)``.
     """
     reply = frame.get("reply")
     if not isinstance(reply, list) or not reply:
         raise WorkerError("Malformed reply frame: %.200r." % (frame,))
     if reply[0] == "results":
-        body = reply[1]
-        if frame.get("traced"):
-            rows, spans = body
-            return ("results", ([tuple(row) for row in rows], spans))
-        return ("results", [tuple(row) for row in body])
+        if len(reply) != 3:
+            raise WorkerError("Malformed batch reply: %.200r." % (frame,))
+        return ("results", [tuple(row) for row in reply[1]], reply[2])
     return tuple(reply)
+
+
+def batch_rows(reply: tuple) -> List[Result]:
+    """The rows of a batch reply, from either backend.
+
+    A span fragment riding the reply is grafted under the active span,
+    which belongs to the trace that asked for it by sending ``traced``.
+    An error reply (a malformed message, an evaluation crash) raises
+    :class:`WorkerError`.
+    """
+    if reply[0] != "results":
+        raise WorkerError(reply[1])
+    _, rows, spans = reply
+    tracer = obs.current()
+    if spans is not None and tracer is not None:
+        tracer.graft(spans)
+    return rows
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -619,9 +623,9 @@ __all__ = [
     "WorkerError",
     "check_ready",
     "decode_frame",
+    "batch_rows",
     "decode_reply",
     "encode_frame",
-    "encode_reply",
     "frame_length",
     "parse_address",
     "read_frame",

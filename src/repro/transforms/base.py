@@ -27,10 +27,8 @@ import numpy as np
 from ..sets import EMPTY_SET
 from ..sets import FiniteNominal
 from ..sets import FiniteReal
-from ..sets import Interval
 from ..sets import OutcomeSet
 from ..sets import Reals
-from ..sets import components
 from ..sets import interval
 from ..sets import union
 
@@ -287,14 +285,3 @@ def _as_outcome_set(value) -> OutcomeSet:
         return union(*pieces)
     raise TypeError("Cannot interpret %r as a set of outcomes." % (value,))
 
-
-def restrict_to_reals(values: OutcomeSet) -> OutcomeSet:
-    """Drop any nominal components of ``values``."""
-    real_parts = [
-        piece
-        for piece in components(values)
-        if isinstance(piece, (Interval, FiniteReal))
-    ]
-    if not real_parts:
-        return EMPTY_SET
-    return union(*real_parts)

@@ -460,9 +460,8 @@ class TestQueryIdentity:
 
 class TestRaggedLogpdfBatch:
     def test_grouped_dispatch_matches_interpreter(self, independent_spe):
-        """A ragged batch (mixed scope signatures) groups per signature,
-        each group through the compiled kernel, bit-identical to the
-        interpreter."""
+        """A ragged batch (mixed scope signatures) on a compiled model
+        is bit-identical to the interpreter."""
         model = SpplModel(independent_spe, cache=False)
         model.compile()
         try:
@@ -476,18 +475,5 @@ class TestRaggedLogpdfBatch:
             ]
             expected = [independent_spe.logpdf(row) for row in rows]
             assert model.logpdf_batch(rows) == expected
-            stats = model.cache_stats()
-            assert stats["logpdf_grouped_batches"] == 1
-            assert stats["logpdf_grouped_fallbacks"] == 0
-        finally:
-            model.detach_compiled()
-
-    def test_uniform_batches_skip_grouping(self, independent_spe):
-        model = SpplModel(independent_spe, cache=False)
-        model.compile()
-        try:
-            rows = [{"X": 0.1}, {"X": 0.2}]
-            model.logpdf_batch(rows)
-            assert "logpdf_grouped_batches" not in model.cache_stats()
         finally:
             model.detach_compiled()

@@ -716,9 +716,6 @@ class TestObservabilityEndpoint:
         assert latency["logpdf"]["count"] == 1
         summary = latency["logprob"]
         assert 0 < summary["p50_ms"] <= summary["p95_ms"] <= summary["p99_ms"]
-        model_stats = stats["backend"]["models"]["indian_gpa"]
-        assert "evictions_per_s" in model_stats
-        assert model_stats["evictions_per_s"] == 0.0  # no pressure at this load
         assert stats["http"]["connection_sheds"] == 0
         assert stats["scheduler"]["shed"] == 0
 
@@ -726,14 +723,12 @@ class TestObservabilityEndpoint:
 class TestEvictionRateEngine:
     def test_eviction_pressure_shows_up_in_cache_stats(self):
         model = SpplModel(indian_gpa.model().spe, cache_size=4)
-        model.cache_stats()  # establish the rate baseline
         for i in range(40):
             model.logprob("GPA > %r" % (0.1 * i))
         stats = model.cache_stats()
         assert stats["evictions"] > 0
-        assert stats["evictions_per_s"] > 0
-        # With no further churn the pressure signal decays to zero.
-        assert model.cache_stats()["evictions_per_s"] == 0.0
+        # Reading stats changes nothing: a second read is identical.
+        assert model.cache_stats() == stats
 
     def test_event_cache_clear_and_count(self):
         model = SpplModel(indian_gpa.model().spe)
@@ -771,6 +766,18 @@ class TestResolveWorkers:
             resolve_workers("-1")
         with pytest.raises(SystemExit):
             resolve_workers("many")
+
+    def test_option_values_are_validated_by_the_constructors(self):
+        """A bad option value is a usage error raised before any shard
+        starts; the range checks live in the constructors."""
+        from repro.serve.__main__ import main
+
+        for flags in (["--slow-query-ms", "-1"],
+                      ["--workers", "1", "--probe-interval-ms", "-5"],
+                      ["--max-sessions", "0"],
+                      ["--max-queued-per-key", "-1"]):
+            with pytest.raises(SystemExit, match="repro.serve: "):
+                main(["--model", "indian_gpa", "--workers", "0"] + flags)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from repro.serve import InferenceService
 from repro.serve import ModelRegistry
 from repro.serve import WorkerError
 from repro.serve import value_of
+from repro.serve.scheduler import InProcessBackend
 from repro.serve.sharding import HashRing
 from repro.serve.sharding import WorkerPool
+from repro.serve.wire import model_spec
 from repro.workloads import indian_gpa
 
 
@@ -307,3 +309,85 @@ class TestFrontEndResultCacheDifferential:
         assert after_zero["requests"] - after_reads["requests"] == 3
         assert (after_zero["result_cache"]["hmm20"]["entries"]
                 == after_reads["result_cache"]["hmm20"]["entries"])
+
+
+def _span_names(tree):
+    names = {tree["name"]}
+    for child in tree.get("children", ()):
+        names |= _span_names(child)
+    return names
+
+
+class TestOneBatchPath:
+    """Both backends run a batch through the same ``ShardHost`` op, so a
+    batch looks the same from either side: the same trace layers (the
+    pool adds only its ``shard.dispatch`` span) and the same error for a
+    model the shard does not hold."""
+
+    def test_traced_query_has_the_same_layers_on_both_backends(self):
+        async def traced_names(workers):
+            registry = ModelRegistry()
+            registry.register_catalog("indian_gpa")
+            service = InferenceService(registry, workers=workers)
+            host, port = await service.start()
+            client = AsyncServeClient(host, port)
+            try:
+                response = await client.query({
+                    "model": "indian_gpa", "kind": "logprob",
+                    "event": "GPA > 3", "trace": True,
+                })
+                assert value_of(response) == indian_gpa.model().logprob("GPA > 3")
+                return _span_names((await client.trace(response["trace"]))["spans"])
+            finally:
+                await service.close()
+
+        in_process = asyncio.run(traced_names(0))
+        sharded = asyncio.run(traced_names(2))
+        assert "worker.batch" in in_process
+        assert "shard.dispatch" in sharded
+        assert in_process == sharded - {"shard.dispatch"}
+
+    def test_unheld_model_reports_one_error_kind(self):
+        registry = ModelRegistry()
+        registered = registry.register_catalog("indian_gpa")
+        pool = WorkerPool(2, probe_interval_ms=0)
+        pool.start({"indian_gpa": model_spec(registered)})
+
+        async def main():
+            try:
+                rows = []
+                for backend in (InProcessBackend(registry), pool):
+                    rows.append(await backend.run_batch(
+                        "ghost", "logprob", None, 0, ["GPA > 3"]
+                    ))
+                return rows
+            finally:
+                await pool.close()
+
+        (in_process,), (sharded,) = asyncio.run(main())
+        assert in_process[0] == sharded[0] == "error"
+        assert in_process[1] == sharded[1] == "WorkerError"
+
+    def test_register_acks_count_only_live_shards(self):
+        """``shards_acked`` counts the shards that took the handshake:
+        a dead shard is skipped, so it cannot be reported as acked."""
+
+        async def main():
+            registry = ModelRegistry()
+            registry.register_catalog("indian_gpa")
+            service = InferenceService(registry, workers=2, probe_interval_ms=0)
+            host, port = await service.start()
+            client = AsyncServeClient(host, port)
+            try:
+                service.backend._mark_dead(1, OSError("node down"))
+                reply = await client.register_model("grass", catalog="grass")
+                acked = await service.backend.register_model(
+                    "gpa_copy", registry.prepare("gpa_copy", indian_gpa.model())
+                )
+                return reply, acked
+            finally:
+                await service.close()
+
+        reply, acked = asyncio.run(main())
+        assert reply["ok"] and reply["shards_acked"] == 1
+        assert acked == [0]

@@ -32,6 +32,8 @@ import time
 import pytest
 
 import repro
+from repro import obs
+from repro.obs import Trace
 from repro.serve import AsyncServeClient
 from repro.serve import InferenceService
 from repro.serve import ModelRegistry
@@ -45,6 +47,7 @@ from repro.serve.transport import LocalTransport
 from repro.serve.transport import ShardHost
 from repro.serve.transport import TcpTransport
 from repro.serve.transport import TransportConnectError
+from repro.serve.transport import batch_rows
 from repro.serve.transport import decode_frame
 from repro.serve.transport import decode_reply
 from repro.serve.transport import encode_frame
@@ -183,28 +186,29 @@ class TestTransportContract:
 
             events = ["GPA > 3", "GPA > 2", "Nationality == 'India'"]
             reply = transport.request(
-                ("batch", "indian_gpa", "logprob", None, events)
+                ("batch", "indian_gpa", "logprob", None, events, False)
             )
             model = indian_gpa.model()
             assert reply == (
-                "results", [("ok", model.logprob(event)) for event in events]
+                "results", [("ok", model.logprob(event)) for event in events],
+                None,
             )
 
             # Conditioned + a -inf answer (impossible event) must cross
             # the channel exactly, not as null or a string.
             reply = transport.request(
-                ("batch", "indian_gpa", "logprob", "GPA > 1", ["GPA < 0"])
+                ("batch", "indian_gpa", "logprob", "GPA > 1", ["GPA < 0"], False)
             )
-            assert reply == ("results", [("ok", float("-inf"))])
+            assert reply == ("results", [("ok", float("-inf"))], None)
 
             # Traced batch: rows unchanged, plus the worker's span fragment.
             reply = transport.request(
                 ("batch", "indian_gpa", "logprob", None, ["GPA > 3"], True)
             )
+            _, rows, spans = reply
             assert reply[0] == "results"
-            rows, spans = reply[1]
             assert rows == [("ok", model.logprob("GPA > 3"))]
-            assert isinstance(spans, dict) and spans
+            assert isinstance(spans, dict) and spans["name"] == "worker.batch"
 
             reply = transport.request(("stats",))
             assert reply[0] == "stats" and "indian_gpa" in reply[1]
@@ -220,7 +224,9 @@ class TestTransportContract:
 
             reply = transport.request(("unregister", "indian_gpa"))
             assert reply == ("unregistered", "indian_gpa")
-            reply = transport.request(("batch", "indian_gpa", "logprob", None, ["GPA > 3"]))
+            reply = transport.request(
+                ("batch", "indian_gpa", "logprob", None, ["GPA > 3"], False)
+            )
             assert reply[1][0][0] == "error"
 
             reply = transport.request(("stop",))
@@ -253,17 +259,17 @@ class TestTransportContract:
         try:
             transport.start(specs, timeout=60)
             before = transport.request(
-                ("batch", "indian_gpa", "logprob", None, ["GPA > 3"])
+                ("batch", "indian_gpa", "logprob", None, ["GPA > 3"], False)
             )
             harness.kill_endpoint(transport)
             harness.revive_endpoint(transport)
             transport.restart(specs, 60)
             after = transport.request(
-                ("batch", "indian_gpa", "logprob", None, ["GPA > 3"])
+                ("batch", "indian_gpa", "logprob", None, ["GPA > 3"], False)
             )
             assert after == before
             assert after == (
-                "results", [("ok", indian_gpa.model().logprob("GPA > 3"))]
+                "results", [("ok", indian_gpa.model().logprob("GPA > 3"))], None
             )
         finally:
             transport.terminate()
@@ -289,18 +295,35 @@ class TestFrameCodec:
             (value,) = struct.unpack("<d", struct.pack("<Q", bits))
             if not math.isnan(value):  # JSON carries the one canonical NaN
                 values.append(value)
-        frame = encode_frame({"reply": ["results", [["ok", v] for v in values]]})
+        frame = encode_frame(
+            {"reply": ["results", [["ok", v] for v in values], None]}
+        )
         decoded = decode_reply(decode_frame(frame[4:]))
         assert decoded[0] == "results"
         assert [row[0] for row in decoded[1]] == ["ok"] * len(values)
         bits = [struct.pack("<d", v) for v in values]
         assert [struct.pack("<d", row[1]) for row in decoded[1]] == bits
 
-    def test_traced_flag_restores_the_traced_shape(self):
-        frame = {"reply": ["results", [[["ok", 1.0]], {"name": "worker.batch"}]],
-                 "traced": True}
-        decoded = decode_reply(frame)
-        assert decoded == ("results", ([("ok", 1.0)], {"name": "worker.batch"}))
+    def test_one_batch_reply_shape_round_trips(self):
+        """Traced or not, a batch reply is ``("results", rows, spans)``
+        on the wire and back, and :func:`batch_rows` reads both; the
+        traced fragment lands under the active span."""
+        rows = [("ok", 1.0), ("error", "ValueError", "bad")]
+        fragment = {"name": "worker.batch", "offset_us": 0, "dur_us": 5}
+        for spans in (None, fragment):
+            reply = ("results", rows, spans)
+            frame = encode_frame({"reply": list(reply)})
+            decoded = decode_reply(decode_frame(frame[4:]))
+            assert decoded == reply
+            trace = Trace(name="batch")
+            with obs.activate(trace):
+                assert batch_rows(decoded) == rows
+            children = trace.to_payload().get("children", [])
+            assert children == ([] if spans is None else [fragment])
+        with pytest.raises(WorkerError, match="Malformed batch reply"):
+            decode_reply({"reply": ["results", [["ok", 1.0]]]})
+        with pytest.raises(WorkerError, match="boom"):
+            batch_rows(("error", "boom"))
 
     def test_frame_length_bounds_are_enforced(self):
         assert frame_length(struct.pack(">I", 1024)) == 1024
@@ -338,14 +361,16 @@ def _malformed_messages(rng, count):
     frames = [
         {"msg": ["batch"]}, {"msg": ["register", "x"]}, {"msg": ["unregister"]},
         {"msg": []}, {"msg": 5}, {"msg": "batch"}, {"no_msg": 1},
-        {"msg": ["batch", ["unhashable"], "logprob", None, []]},
-        {"msg": ["batch", "indian_gpa", "logprob", None, 7]},
+        {"msg": ["batch", ["unhashable"], "logprob", None, [], False]},
+        {"msg": ["batch", "indian_gpa", "logprob", None, 7, False]},
+        # A batch without its trace flag is short one field.
+        {"msg": ["batch", "indian_gpa", "logprob", None, ["GPA > 3"]]},
         {"msg": ["register", "x", "not a spec"]},
         {"msg": ["register", "x", {"digest": "0"}]},
         {"msg": [{"op": "ping"}]},
     ]
     # Wrong arities for the ops that take arguments, and unknown ops.
-    arities = {"batch": (0, 1, 2, 3), "register": (0, 1, 3, 4), "unregister": (0, 2, 3)}
+    arities = {"batch": (0, 1, 2, 3, 4), "register": (0, 1, 3, 4), "unregister": (0, 2, 3)}
     while len(frames) < count:
         op = rng.choice(["batch", "register", "unregister", "unknown"])
         if op == "unknown":
@@ -413,8 +438,8 @@ class TestNodeTrustBoundary:
         frames (before or after the hello) close only their connection;
         an attached shard and a fresh connection still answer exactly."""
         specs = _gpa_specs()
-        expected = ("results", [("ok", indian_gpa.model().logprob("GPA > 3"))])
-        batch = ("batch", "indian_gpa", "logprob", None, ["GPA > 3"])
+        expected = ("results", [("ok", indian_gpa.model().logprob("GPA > 3"))], None)
+        batch = ("batch", "indian_gpa", "logprob", None, ["GPA > 3"], False)
         proc, port = start_node()
         keeper = TcpTransport("127.0.0.1:%d" % port, 0)
         try:
@@ -656,10 +681,10 @@ class TestPoolOverTcp:
         try:
             transport.start({"indian_gpa": spec}, timeout=60)
             reply = transport.request(
-                ("batch", "indian_gpa", "logprob", None, ["GPA > 3"])
+                ("batch", "indian_gpa", "logprob", None, ["GPA > 3"], False)
             )
             assert reply == (
-                "results", [("ok", indian_gpa.model().logprob("GPA > 3"))]
+                "results", [("ok", indian_gpa.model().logprob("GPA > 3"))], None
             )
             reply = transport.request(("stats",))
             compiled = reply[1]["indian_gpa"]["compiled"]
