@@ -13,10 +13,13 @@ from typing import List
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 def _log_observation(x: float, y: float, mu_x: float, mu_y: float) -> float:
+    # The oracle keeps scipy.stats' own densities, independent of the leaf
+    # family table; imported here so importing the baselines stays cheap.
+    from scipy import stats
+
     return float(stats.norm(mu_x, 1.0).logpdf(x)) + float(stats.poisson(mu_y).logpmf(y))
 
 

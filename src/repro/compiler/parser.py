@@ -47,6 +47,7 @@ from ..distributions import DISTRIBUTION_CONSTRUCTORS
 from ..distributions import Distribution
 from ..distributions import atomic
 from ..distributions import choice
+from ..errors import SpplParseError
 from ..events import Event
 from ..sets import Interval
 from ..sets import interval
@@ -110,10 +111,6 @@ class _ArrayReference:
     def __init__(self, name: str, length: int):
         self.name = name
         self.length = length
-
-
-class SpplParseError(ValueError):
-    """Raised when an SPPL source program cannot be parsed or translated."""
 
 
 #: Folded integer constants must fit a float: ``2 ** 1024`` already does not.

@@ -37,7 +37,7 @@ def render_distribution(dist: Distribution) -> str:
         return "discrete(%r)" % ({k: v for k, v in sorted(dist.probabilities.items())},)
     if isinstance(dist, (RealDistribution, DiscreteDistribution)):
         frozen = dist.dist
-        name = frozen.dist.name
+        name = frozen.name
         arguments = [repr(a) for a in frozen.args]
         arguments += ["%s=%r" % (k, v) for k, v in sorted(frozen.kwds.items())]
         if not math.isinf(dist.lo) or dist.lo == 0:

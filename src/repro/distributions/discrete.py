@@ -20,6 +20,7 @@ from .base import Distribution
 from .base import NEG_INF
 from .base import log_add
 from .base import safe_log
+from .families import as_leaf_dist
 
 
 def _integer_bounds(piece: Interval) -> Tuple[float, float]:
@@ -41,15 +42,20 @@ def _integer_bounds(piece: Interval) -> Tuple[float, float]:
 
 
 class DiscreteDistribution(Distribution):
-    """A scipy integer-valued distribution restricted to an integer range."""
+    """An integer-valued family distribution restricted to an integer range.
+
+    ``dist`` is a frozen discrete family of
+    :mod:`~repro.distributions.families` (a frozen ``scipy.stats``
+    distribution is wrapped).
+    """
 
     is_continuous = False
 
     def __init__(self, dist, lo: float = -math.inf, hi: float = math.inf, name: str = None):
-        self.dist = dist
+        self.dist = dist = as_leaf_dist(dist)
         self.lo = float(lo)
         self.hi = float(hi)
-        self.name = name or getattr(getattr(dist, "dist", None), "name", "discrete")
+        self.name = name or dist.name
         if self.hi < self.lo:
             raise ValueError("DiscreteDistribution requires lo <= hi.")
         self._mass = self._raw_range_prob(self.lo, self.hi)
@@ -58,6 +64,19 @@ class DiscreteDistribution(Distribution):
                 "Truncation range [%r, %r] has zero probability." % (lo, hi)
             )
         self._log_mass = math.log(self._mass)
+
+    def _truncated(self, lo: float, hi: float, mass: float) -> "DiscreteDistribution":
+        """A copy restricted to the integers in ``[lo, hi]``, whose
+        probability under ``dist`` is the already-computed positive
+        ``mass``."""
+        copy = object.__new__(DiscreteDistribution)
+        copy.dist = self.dist
+        copy.lo = float(lo)
+        copy.hi = float(hi)
+        copy.name = self.name
+        copy._mass = mass
+        copy._log_mass = math.log(mass)
+        return copy
 
     def _raw_cdf(self, k: float) -> float:
         if k == math.inf:
@@ -90,7 +109,7 @@ class DiscreteDistribution(Distribution):
         frozen = self.dist
         return (
             "discrete_scipy",
-            frozen.dist.name,
+            frozen.name,
             tuple(frozen.args),
             tuple(sorted(frozen.kwds.items())),
             self.lo,
@@ -134,12 +153,11 @@ class DiscreteDistribution(Distribution):
                 lo, hi = _integer_bounds(piece)
                 lo = max(lo, self.lo)
                 hi = min(hi, self.hi)
-                log_w = safe_log(self._raw_range_prob(lo, hi)) - self._log_mass
+                mass = self._raw_range_prob(lo, hi)
+                log_w = safe_log(mass) - self._log_mass
                 if log_w == NEG_INF:
                     continue
-                results.append(
-                    (DiscreteDistribution(self.dist, lo, hi, name=self.name), log_w)
-                )
+                results.append((self._truncated(lo, hi, mass), log_w))
             elif isinstance(piece, FiniteReal):
                 weights = {
                     float(v): self._raw_pmf(v)

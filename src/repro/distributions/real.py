@@ -21,15 +21,16 @@ from .base import Distribution
 from .base import NEG_INF
 from .base import log_add
 from .base import safe_log
+from .families import as_leaf_dist
 
 
 def _interval_probability(dist, left: float, right: float, median: float) -> float:
-    """Probability that a scipy continuous variable lies in ``(left, right)``.
+    """Probability that a continuous leaf variable lies in ``(left, right)``.
 
     Uses the survival function in the upper tail (``left`` at or above
     ``median``, the distribution's median stored by
     :class:`RealDistribution`) to retain precision for rare events, the
-    cdf below.  Both endpoints go to scipy in one two-element call.
+    cdf below.  Both endpoints go in one two-element call.
     """
     if right <= left:
         return 0.0
@@ -44,21 +45,23 @@ def _interval_probability(dist, left: float, right: float, median: float) -> flo
 
 
 class RealDistribution(Distribution):
-    """A scipy continuous distribution restricted to an interval.
+    """A continuous family distribution restricted to an interval.
 
-    ``dist`` is a frozen ``scipy.stats`` continuous distribution; ``lo`` and
-    ``hi`` give the (possibly infinite) truncation interval, which must have
-    positive probability under ``dist``.  The median of ``dist`` is computed
-    once here and shared by every truncated copy :meth:`condition` makes.
+    ``dist`` is a frozen continuous family of
+    :mod:`~repro.distributions.families` (a frozen ``scipy.stats``
+    distribution is wrapped); ``lo`` and ``hi`` give the (possibly
+    infinite) truncation interval, which must have positive probability
+    under ``dist``.  The median of ``dist`` is computed once here and
+    shared by every truncated copy :meth:`condition` makes.
     """
 
     is_continuous = True
 
     def __init__(self, dist, lo: float = -math.inf, hi: float = math.inf, name: str = None):
-        self.dist = dist
+        self.dist = dist = as_leaf_dist(dist)
         self.lo = float(lo)
         self.hi = float(hi)
-        self.name = name or getattr(getattr(dist, "dist", None), "name", "real")
+        self.name = name or dist.name
         if not self.lo < self.hi:
             raise ValueError("RealDistribution requires lo < hi.")
         try:
@@ -94,7 +97,7 @@ class RealDistribution(Distribution):
         frozen = self.dist
         return (
             "real_scipy",
-            frozen.dist.name,
+            frozen.name,
             tuple(frozen.args),
             tuple(sorted(frozen.kwds.items())),
             self.lo,

@@ -14,10 +14,13 @@ from typing import Dict
 from typing import List
 from typing import Optional
 
+from ..errors import SpplParseError
 from ..sets import OutcomeSet
 from ..sets import complement
 from ..sets import intersection
+from .base import Conjunction
 from .base import Containment
+from .base import Disjunction
 from .base import Event
 
 #: A solved clause maps variable names to the outcome sets they must lie in.
@@ -44,8 +47,60 @@ def solve_clause(literals: List[Containment]) -> Optional[Clause]:
     return clause
 
 
+#: Most DNF clauses an event may expand to.  ``disjoin_clauses`` compares
+#: every clause with every earlier one, so solving grows faster than the
+#: square of the clause count.  On hmm20 (2-vCPU host), conjunctions of
+#: two-way disjunctions over distinct variables solve in 0.079 s CPU at
+#: 32 clauses, 0.42 s at 64, 1.65 s at 128 and 107 s at 1024.  The
+#: largest event of the test suite and ``benchmarks/run_all.py`` has 27
+#: clauses; perfbench traffic stays at or below 4.
+MAX_DNF_CLAUSES = 64
+
+
+def dnf_clause_count(event: Event) -> int:
+    """Number of clauses ``event.dnf_clauses()`` returns, computed from the
+    event tree without expanding it: a product over conjunctions and a sum
+    over disjunctions (``negate`` has already pushed negations down to the
+    literals, swapping the two).  Counts stop growing past
+    ``MAX_DNF_CLAUSES + 1``, so huge events cost no big-integer work."""
+    cap = MAX_DNF_CLAUSES + 1
+    counts: Dict[int, int] = {}
+    stack = [event]
+    while stack:
+        node = stack[-1]
+        if id(node) in counts:
+            stack.pop()
+            continue
+        if isinstance(node, (Conjunction, Disjunction)):
+            pending = [e for e in node.events if id(e) not in counts]
+            if pending:
+                stack.extend(pending)
+                continue
+            children = [counts[id(e)] for e in node.events]
+            if isinstance(node, Conjunction):
+                total = 1
+                for count in children:
+                    total = min(total * count, cap)
+            else:
+                total = min(sum(children), cap)
+        else:
+            total = len(node.dnf_clauses())
+        counts[id(node)] = total
+        stack.pop()
+    return counts[id(event)]
+
+
 def event_to_clauses(event: Event) -> List[Clause]:
-    """Normalize an event to DNF and solve each clause (unsatisfiable dropped)."""
+    """Normalize an event to DNF and solve each clause (unsatisfiable dropped).
+
+    Raises :class:`~repro.errors.SpplParseError` before expanding an event
+    whose DNF has more than ``MAX_DNF_CLAUSES`` clauses.
+    """
+    count = dnf_clause_count(event)
+    if count > MAX_DNF_CLAUSES:
+        raise SpplParseError(
+            "Event expands to more than %d DNF clauses; split it into "
+            "smaller queries." % (MAX_DNF_CLAUSES,))
     clauses: List[Clause] = []
     for literals in event.dnf_clauses():
         clause = solve_clause(literals)

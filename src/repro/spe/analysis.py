@@ -102,7 +102,9 @@ def _leaf_moment(leaf: Leaf, order: int) -> float:
         frozen = dist.dist
         lb, ub = dist.lo, dist.hi
         if isinstance(dist, RealDistribution):
-            value = frozen.expect(lambda x: x ** order, lb=lb, ub=ub, conditional=True)
+            # Numerical quadrature: the one query that needs scipy.stats.
+            value = frozen.to_scipy().expect(
+                lambda x: x ** order, lb=lb, ub=ub, conditional=True)
         else:
             lo = int(lb) if math.isfinite(lb) else int(frozen.ppf(1e-12))
             hi = int(ub) if math.isfinite(ub) else int(frozen.ppf(1.0 - 1e-12))

@@ -259,7 +259,7 @@ class CompiledSPE:
     memory) or :func:`load_spz` (arrays bound zero-copy into a read-only
     ``mmap``).  ``root`` is the live expression graph the arrays were
     lowered from — leaf rows keep a bound reference to their ``Leaf``
-    for the scalar kernels (clause solving, scipy calls) that cannot be
+    for the scalar kernels (clause solving, family calls) that cannot be
     expressed as pure array math.
     """
 
@@ -433,9 +433,10 @@ class CompiledSPE:
         """Fill the leaf rows of the clause-column matrices.
 
         Clause solving stays scalar (it is set arithmetic, not array
-        math), but every scipy tail/cdf/pmf probability it requests is
-        collected into per-row batches and dispatched as one vectorized
-        call per row.  numpy/scipy scalar and array kernels agree
+        math), but every tail/cdf/pmf probability it requests from a
+        leaf's family (:mod:`repro.distributions.families`) is collected
+        into per-row batches and dispatched as one vectorized call per
+        row.  The family formulas' scalar and array evaluations agree
         bit-for-bit, and the surrounding arithmetic replicates the
         scalar ``RealDistribution.logprob`` / ``DiscreteDistribution.
         logprob`` decision trees exactly, so batching preserves
@@ -511,9 +512,9 @@ class CompiledSPE:
                           real_reqs, cdf_reqs, pmf_reqs) -> tuple:
         """Plan one (leaf row, restriction) evaluation.
 
-        Returns ``(row, "done", value)`` when the result needs no scipy
+        Returns ``(row, "done", value)`` when the result needs no family
         call, or ``(row, "terms", descriptors)`` where each descriptor
-        names a probability term to be resolved from the batched scipy
+        names a probability term to be resolved from the batched family
         results.  Only exact ``RealDistribution`` / ``DiscreteDistribution``
         leaves are planned; subclasses and other families run their own
         scalar ``logprob`` unchanged.

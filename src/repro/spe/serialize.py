@@ -21,14 +21,15 @@ import math
 from typing import Dict
 from typing import List
 
-from scipy import stats
-
 from ..distributions import AtomicDistribution
 from ..distributions import DiscreteDistribution
 from ..distributions import DiscreteFinite
 from ..distributions import Distribution
 from ..distributions import NominalDistribution
 from ..distributions import RealDistribution
+from ..distributions.families import freeze
+from ..distributions.families import is_discrete_family
+from ..distributions.families import is_family
 from ..transforms import Abs
 from ..transforms import Exp
 from ..transforms import Identity
@@ -129,7 +130,7 @@ def distribution_to_dict(dist: Distribution) -> Dict:
         frozen = dist.dist
         return {
             "kind": "discrete_scipy" if isinstance(dist, DiscreteDistribution) else "real_scipy",
-            "family": frozen.dist.name,
+            "family": frozen.name,
             "args": list(frozen.args),
             "kwds": dict(frozen.kwds),
             "lo": _encode_float(dist.lo),
@@ -149,14 +150,40 @@ def distribution_from_dict(data: Dict) -> Distribution:
     if kind == "finite":
         return DiscreteFinite({float(k): v for k, v in data["probabilities"].items()})
     if kind in ("real_scipy", "discrete_scipy"):
-        family = getattr(stats, data["family"])
-        frozen = family(*data["args"], **data["kwds"])
+        frozen = _family_from_dict(data, kind == "discrete_scipy")
         lo = _decode_float(data["lo"])
         hi = _decode_float(data["hi"])
         if kind == "discrete_scipy":
             return DiscreteDistribution(frozen, lo=lo, hi=hi, name=data.get("name"))
         return RealDistribution(frozen, lo=lo, hi=hi, name=data.get("name"))
     raise SerializationError("Unknown distribution kind %r." % (kind,))
+
+
+def _family_from_dict(data: Dict, discrete: bool):
+    """The frozen family a ``*_scipy`` record names.
+
+    A payload is untrusted, so the family must be a distribution (see
+    :func:`~repro.distributions.families.is_family`) of the record's kind,
+    and its parameters plain numbers; nothing else is looked up or called.
+    """
+    name, args, kwds = data["family"], data["args"], data["kwds"]
+    if not is_family(name):
+        raise SerializationError("Unknown distribution family %r." % (name,))
+    if is_discrete_family(name) != discrete:
+        raise SerializationError(
+            "Family %r is not %s." % (name, "discrete" if discrete else "continuous"))
+    if (not isinstance(args, list) or not isinstance(kwds, dict)
+            or not all(_is_number(v) for v in args + list(kwds.values()))):
+        raise SerializationError("Parameters of family %r must be numbers." % (name,))
+    try:
+        return freeze(name, *args, **kwds)
+    except TypeError as error:
+        raise SerializationError(
+            "Bad parameters for family %r: %s" % (name, error)) from error
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _encode_float(value: float):

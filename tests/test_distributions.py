@@ -29,8 +29,10 @@ from repro.distributions import laplace
 from repro.distributions import log_add
 from repro.distributions import log_subtract
 from repro.distributions import lognormal
+from repro.distributions import negative_binomial
 from repro.distributions import normal
 from repro.distributions import poisson
+from repro.distributions import randint
 from repro.distributions import safe_log
 from repro.distributions import student_t
 from repro.distributions import truncated_normal
@@ -402,3 +404,52 @@ class TestConditioningScipyWork:
         assert leaf._restrict(clause) == {
             s: v for s, v in clause.items() if s in {leaf.symbol} | set(leaf.env)
         }
+
+
+#: Every integer-valued family of ``distributions/factories.py``.
+INTEGER = {
+    "poisson": poisson(4.5),
+    "binomial": binomial(12, 0.35),
+    "geometric": geometric(0.3),
+    "negative_binomial": negative_binomial(3.0, 0.4),
+    "randint": randint(-3, 9),
+}
+
+#: Integer-range endpoints: infinities, integers and non-integers.
+INTEGER_ENDPOINTS = st.one_of(
+    st.sampled_from([-math.inf, math.inf]),
+    st.integers(-6, 20),
+    st.floats(-6.0, 20.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestDiscreteTruncation:
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(sorted(INTEGER)),
+        st.none() | st.tuples(INTEGER_ENDPOINTS, INTEGER_ENDPOINTS),
+        INTEGER_ENDPOINTS,
+        INTEGER_ENDPOINTS,
+        st.booleans(),
+    )
+    def test_truncated_copies_match_fresh_construction(
+            self, family, cut, left, right, open_ends):
+        parent = INTEGER[family]
+        if cut is not None:
+            branches = parent.condition(interval(min(cut), max(cut)))
+            if branches:
+                parent = branches[0][0]
+        assume(isinstance(parent, DiscreteDistribution))
+        left, right = sorted((left, right))
+        assume(left < right)
+        target = interval(left, right, open_ends, open_ends)
+        branches = parent.condition(target)
+        assert all(isinstance(copy, DiscreteDistribution) for copy, _ in branches)
+        for copy, log_w in branches:
+            fresh = DiscreteDistribution(parent.dist, copy.lo, copy.hi, name=parent.name)
+            assert copy.dist is parent.dist
+            assert (copy.lo, copy.hi, copy.name) == (fresh.lo, fresh.hi, fresh.name)
+            assert repr(copy._mass) == repr(fresh._mass)
+            assert repr(copy._log_mass) == repr(fresh._log_mass)
+            assert repr(log_w) == repr(safe_log(fresh._mass) - parent._log_mass)
+            assert copy.structural_key() == fresh.structural_key()

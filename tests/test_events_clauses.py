@@ -1,13 +1,24 @@
 """Unit and property tests for solved clauses and the disjoin algorithm."""
 
+import math
+import time
+
+import pytest
 from hypothesis import given
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from repro.engine import parse_event
+from repro.errors import SpplParseError
+from repro.events import Conjunction
+from repro.events import Disjunction
+from repro.events import EventNever
+from repro.events import MAX_DNF_CLAUSES
 from repro.events import clause_intersection
 from repro.events import clause_subtract
 from repro.events import clauses_overlap
 from repro.events import disjoin_clauses
+from repro.events import dnf_clause_count
 from repro.events import event_to_clauses
 from repro.events import event_to_disjoint_clauses
 from repro.events import restrict_clause
@@ -167,3 +178,71 @@ class TestDisjoinProperties:
         assert clauses[0]["X"] == interval(0, 10)
         assert not clauses[1]["X"].contains(7)
         assert clauses[1]["X"].contains(12)
+
+
+# ---------------------------------------------------------------------------
+# The DNF clause bound.
+# ---------------------------------------------------------------------------
+
+_LITERALS = st.sampled_from([X < 1, X > 3, Y < 0, Y >= 2, Z << {1, 2}, Z > 0])
+
+
+def _events(depth):
+    if depth == 0:
+        return _LITERALS
+    smaller = _events(depth - 1)
+    return st.one_of(
+        smaller,
+        st.lists(smaller, min_size=1, max_size=3).map(
+            lambda es: es[0] if len(es) == 1 else Conjunction(es)),
+        st.lists(smaller, min_size=1, max_size=3).map(
+            lambda es: es[0] if len(es) == 1 else Disjunction(es)),
+        smaller.map(lambda e: ~e),
+    )
+
+
+def _two_way_conjunction(n):
+    """``(X[0] > 3 or Z[0] == 1) and ...``: 2**n DNF clauses."""
+    return " and ".join("(X[%d] > 3 or Z[%d] == 1)" % (i, i) for i in range(n))
+
+
+class TestDnfClauseBound:
+    @settings(max_examples=300)
+    @given(_events(3))
+    def test_count_is_the_expanded_clause_count(self, event):
+        expected = len(event.dnf_clauses())
+        assert dnf_clause_count(event) == min(expected, MAX_DNF_CLAUSES + 1)
+
+    def test_count_of_never_is_zero(self):
+        assert dnf_clause_count(EventNever()) == 0
+        assert dnf_clause_count(Conjunction([EventNever(), X < 1])) == 0
+
+    def test_bound_is_inclusive(self):
+        n = MAX_DNF_CLAUSES.bit_length() - 1
+        event = Conjunction([(X < i) | (Y > i) for i in range(n)])
+        assert dnf_clause_count(event) == 2 ** n <= MAX_DNF_CLAUSES
+        assert len(event_to_clauses(event)) <= 2 ** n
+        larger = Conjunction([event, (Z < 0) | (Z > 1)])
+        with pytest.raises(SpplParseError, match="DNF clauses"):
+            event_to_clauses(larger)
+
+    def test_huge_event_is_refused_without_expansion(self):
+        event = Conjunction([(X < i) | (Y > i) | (Z < i) for i in range(400)])
+        start = time.perf_counter()
+        with pytest.raises(SpplParseError):
+            event_to_disjoint_clauses(event)
+        assert time.perf_counter() - start < 0.05
+
+    def test_hmm20_ten_disjunctions_refused_in_under_10ms(self):
+        from repro.serve.registry import ModelRegistry
+
+        model = ModelRegistry().register_catalog("hmm20").model
+        text = _two_way_conjunction(10)
+        assert dnf_clause_count(parse_event(text, model.spe.scope)) > MAX_DNF_CLAUSES
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(SpplParseError, match="DNF clauses"):
+                model.logprob(text)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010

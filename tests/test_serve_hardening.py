@@ -862,6 +862,13 @@ class TestShardedHardening:
         shard, which stays up and keeps answering."""
         assert_parse_error_then_answers(event)
 
+    def test_dnf_clause_bound_is_a_parse_error(self):
+        """An event whose DNF passes the clause bound fails as a parse
+        error on the shard before it is expanded, and the shard keeps
+        answering."""
+        assert_parse_error_then_answers(" and ".join(
+            "(GPA > %d or Nationality == 'India')" % (i,) for i in range(10)))
+
     def test_overload_lifecycle_and_differential_on_two_workers(self):
         bound = 8
 
