@@ -22,7 +22,8 @@ file, so successive PRs have a trajectory to compare against::
 writing the snapshot it compares against the baseline and exits non-zero
 on a >25% slowdown of any ``translate_s`` or compiled ``logprob_batch``
 probe (with a small absolute grace to ignore sub-millisecond jitter), on
-any compression-ratio regression, or on any bit-identity differential
+any compression-ratio regression, on a query-cache bound exceeded
+during the ``cache_bound`` churn, or on any bit-identity differential
 mismatch (``bit_identical: false`` — compiled vs interpreted, or wire
 session vs library chain)::
 
@@ -235,26 +236,41 @@ def bench_compiled_logprob_batch() -> dict:
 
 
 def bench_cache_bound() -> dict:
-    """Bounded QueryCache: distinct condition+logprob queries stay bounded."""
+    """Bounded QueryCache: distinct condition+logprob queries stay bounded.
+
+    The churn runs twice on fresh models: once plain, once with a
+    :class:`repro.engine.PosteriorChain` open on the model, and the
+    entry count is checked after every query of both runs.
+    """
+    from repro.engine import PosteriorChain
+
     bound = 512
     n_queries = 2_000
-    model = SpplModel(hmm.model(1).spe, cache_size=bound)
     x0, z0 = Id(hmm.x(0)), Id(hmm.z(0))
 
-    def churn():
+    def churn(model, peak):
         for i in range(n_queries):
             posterior = model.condition(x0 < 0.5 + (i + 1) * 1e-4)
             posterior.logprob(z0 == 1)
+            peak[0] = max(peak[0], model.cache.total_entries())
 
-    _, churn_s = _timed(churn)
-    stats = model.cache.stats()
+    model = SpplModel(hmm.model(1).spe, cache_size=bound)
+    peak = [0]
+    _, churn_s = _timed(lambda: churn(model, peak))
+    chained = SpplModel(hmm.model(1).spe, cache_size=bound)
+    chained_peak = [0]
+    with PosteriorChain(chained, [x0 < 0.25]):
+        _, chained_s = _timed(lambda: churn(chained, chained_peak))
     return {
         "bound": bound,
         "distinct_queries": n_queries,
         "total_s": round(churn_s, 4),
         "entries_at_end": model.cache.total_entries(),
-        "evictions": stats["evictions"],
-        "bound_respected": model.cache.total_entries() <= bound,
+        "peak_entries": peak[0],
+        "evictions": model.cache.stats()["evictions"],
+        "with_chain_total_s": round(chained_s, 4),
+        "with_chain_peak_entries": chained_peak[0],
+        "bound_respected": max(peak[0], chained_peak[0]) <= bound,
     }
 
 
@@ -778,6 +794,9 @@ def check_gate(snapshot: dict, baseline: dict) -> list:
       (the compiled kernel diverging from the interpreter) fails outright,
       baseline or not; ``compiled_s`` regressions gate like ``translate_s``
       (>25% beyond the fleet-median ratio, with the same absolute grace).
+    * ``cache_bound`` -- ``bound_respected: false`` (the query cache
+      held more entries than its bound at some point of the churn, with
+      or without a posterior chain open) fails outright.
     * ``obs_overhead`` tracing-off pass -- the serve hot path with
       tracing disabled may regress at most 5% against the baseline
       (fleet-median normalized, same absolute grace): observability
@@ -794,6 +813,17 @@ def check_gate(snapshot: dict, baseline: dict) -> list:
                 "compiled-vs-interpreted differential mismatch on %r: "
                 "CompiledSPE.logprob_batch is not bit-identical" % (name,)
             )
+    cache_bound = snapshot.get("cache_bound", {})
+    if not cache_bound.get("bound_respected", True):
+        failures.append(
+            "query-cache bound %r exceeded during the cache_bound churn "
+            "(peak %r entries plain, %r with a posterior chain open)"
+            % (
+                cache_bound.get("bound"),
+                cache_bound.get("peak_entries"),
+                cache_bound.get("with_chain_peak_entries"),
+            )
+        )
     session = snapshot.get("session_stream", {})
     if session and not session.get("bit_identical", True):
         failures.append(
@@ -931,7 +961,8 @@ def main() -> int:
         metavar="BASELINE",
         help="compare against a committed BENCH_*.json and exit non-zero on "
         "a >25%% translate_s, compiled-logprob_batch, or local-shard "
-        "slowdown, any compression-ratio regression, any bit-identity "
+        "slowdown, any compression-ratio regression, a query-cache bound "
+        "exceeded, any bit-identity "
         "differential mismatch (compiled vs interpreted, wire session vs "
         "library chain), or a >5%% "
         "tracing-off overhead regression",

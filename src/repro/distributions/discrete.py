@@ -59,9 +59,12 @@ class DiscreteDistribution(Distribution):
         if self.hi < self.lo:
             raise ValueError("DiscreteDistribution requires lo <= hi.")
         self._mass = self._raw_range_prob(self.lo, self.hi)
-        if self._mass <= 0.0:
+        if not self._mass > 0.0:  # NaN when the parameters are invalid
             raise ValueError(
-                "Truncation range [%r, %r] has zero probability." % (lo, hi)
+                "Invalid parameters for %r: its probabilities are undefined."
+                % (dist,)
+                if math.isnan(self._mass)
+                else "Truncation range [%r, %r] has zero probability." % (lo, hi)
             )
         self._log_mass = math.log(self._mass)
 

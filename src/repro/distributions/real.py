@@ -69,9 +69,12 @@ class RealDistribution(Distribution):
         except Exception:  # pragma: no cover - defensive for exotic dists
             self._median = 0.0
         self._mass = _interval_probability(dist, self.lo, self.hi, self._median)
-        if self._mass <= 0.0:
+        if not self._mass > 0.0:  # NaN when the parameters are invalid
             raise ValueError(
-                "Truncation interval [%r, %r] has zero probability." % (lo, hi)
+                "Invalid parameters for %r: its probabilities are undefined."
+                % (dist,)
+                if math.isnan(self._mass)
+                else "Truncation interval [%r, %r] has zero probability." % (lo, hi)
             )
         self._log_mass = math.log(self._mass)
 

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import threading
-from collections import OrderedDict
 from typing import Dict
 from typing import Iterable
 from typing import List
@@ -129,8 +127,7 @@ class SpplModel:
             raise TypeError(
                 "cache must be a QueryCache/Memo, None, or False; got %r." % (cache,)
             )
-        self._event_cache: "OrderedDict[str, Event]" = OrderedDict()
-        self._event_cache_lock = threading.Lock()
+        self._event_cache = QueryCache(max_entries=EVENT_CACHE_ENTRIES)
         # Optional compiled columnar kernel (see repro.spe.compiled);
         # batched queries route through it when attached.
         self._compiled = None
@@ -251,14 +248,12 @@ class SpplModel:
             stats["enabled"] = 1
             stats["hits"] = self._cache.hits
             stats["misses"] = self._cache.misses
-        with self._event_cache_lock:
-            stats["event_cache_entries"] = len(self._event_cache)
+        stats["event_cache_entries"] = self._event_cache.total_entries()
         return stats
 
     def clear_event_cache(self) -> None:
         """Drop the parsed-event LRU (textual queries re-parse on next use)."""
-        with self._event_cache_lock:
-            self._event_cache.clear()
+        self._event_cache.clear()
 
     def clear_cache(self, everything: bool = False) -> None:
         """Drop cached traversal results for this model (releases posteriors).
@@ -274,38 +269,7 @@ class SpplModel:
         """
         if self._cache is None:
             return
-        if everything or not isinstance(self._cache, QueryCache):
-            self._cache.clear()
-        else:
-            self._cache.clear(uids=self.spe.reachable_uids())
-
-    @contextlib.contextmanager
-    def query_scope(self):
-        """Pin this model's cache entries for a batch of queries.
-
-        Every query issued inside the scope (from any model sharing this
-        cache — e.g. posteriors produced by :meth:`condition` /
-        :meth:`constrain`) runs at a generation at least as new as the
-        scope's, so entries the batch reads or writes cannot be evicted
-        by the cache bound until the scope exits::
-
-            with model.query_scope():
-                for event in workload:
-                    model.logprob(event)
-
-        This is the multi-query analogue of the per-query pinning each
-        public query already gets; the serve scheduler brackets every
-        coalesced micro-batch with it so eviction cannot race a batch.
-        A batch touching more than ``max_entries`` entries may overshoot
-        the bound while the scope is open; the overshoot is reclaimed on
-        exit.  With caching disabled (``cache=False``) the scope is a
-        no-op.  Scopes nest freely and are thread-safe.
-        """
-        if self._cache is None:
-            yield self
-            return
-        with self._cache.query_scope():
-            yield self
+        self._cache.clear(None if everything else self.spe.reachable_uids())
 
     def _memo(self, memo: Memo = None) -> Memo:
         if memo is not None:
@@ -349,19 +313,14 @@ class SpplModel:
         if isinstance(event, Event):
             return event
         if isinstance(event, str):
-            with self._event_cache_lock:
-                cached = self._event_cache.get(event)
-                if cached is not None:
-                    self._event_cache.move_to_end(event)
-                    obs.bump("event_cache.hits")
-                    return cached
+            key = ("event", event)
+            cached = self._event_cache.get(key)
+            if cached is not None:
+                obs.bump("event_cache.hits")
+                return cached
             obs.bump("event_cache.misses")
             parsed = parse_event(event, self.spe.scope)
-            with self._event_cache_lock:
-                self._event_cache[event] = parsed
-                self._event_cache.move_to_end(event)
-                while len(self._event_cache) > EVENT_CACHE_ENTRIES:
-                    self._event_cache.popitem(last=False)
+            self._event_cache.put(key, parsed)
             return parsed
         raise TypeError("Expected an Event or event string, got %r." % (event,))
 
@@ -636,17 +595,17 @@ class PosteriorChain:
     Semantically ``chain.current`` is exactly
     ``model.condition(e_1).condition(e_2)...condition(e_k)`` — the same
     interned posteriors, bit-identical answers — but the handle adds the
-    two properties a long-lived server-side session needs:
+    **step bound** a long-lived server-side session needs: ``max_steps``
+    caps the chain length (each step retains a posterior graph); past it
+    :meth:`observe` raises :class:`ChainBoundError` instead of growing
+    without limit.  A closed chain (:meth:`close`) refuses further
+    observes.
 
-    * **Pinning.** The chain holds one open
-      :meth:`~SpplModel.query_scope` for its whole lifetime, so the
-      cached traversal results its condition steps produced (which every
-      later step and query re-reads) cannot be evicted by the cache
-      bound mid-session.  :meth:`close` releases the pin; a closed chain
-      refuses further observes.
-    * **A step bound.** ``max_steps`` caps the chain length (each step
-      retains a posterior graph); past it :meth:`observe` raises
-      :class:`ChainBoundError` instead of growing without limit.
+    The chain pins nothing in the model's cache: every traversal keeps
+    the entries it reads in a working set of its own, so the shared
+    cache stays within its bound while the chain is open, and a step
+    result evicted between observes is recomputed bit-identically when a
+    later query needs it.
 
     Deterministic replay: :attr:`events` records every accepted observe
     in order, so an identical chain can be re-established anywhere
@@ -657,7 +616,7 @@ class PosteriorChain:
     #: Default bound on accepted observes per chain.
     DEFAULT_MAX_STEPS = 256
 
-    __slots__ = ("root", "events", "max_steps", "_current", "_scope", "closed")
+    __slots__ = ("root", "events", "max_steps", "_current", "closed")
 
     def __init__(self, model: "SpplModel", events: Iterable = (),
                  max_steps: int = DEFAULT_MAX_STEPS):
@@ -668,14 +627,8 @@ class PosteriorChain:
         self.max_steps = max_steps
         self._current = model
         self.closed = False
-        self._scope = model.query_scope()
-        self._scope.__enter__()
-        try:
-            for event in events:
-                self.observe(event)
-        except BaseException:
-            self.close()
-            raise
+        for event in events:
+            self.observe(event)
 
     @property
     def current(self) -> "SpplModel":
@@ -704,10 +657,8 @@ class PosteriorChain:
         return posterior
 
     def close(self) -> None:
-        """Release the cache pin (idempotent)."""
-        if not self.closed:
-            self.closed = True
-            self._scope.__exit__(None, None, None)
+        """Refuse further observes (idempotent)."""
+        self.closed = True
 
     def __enter__(self) -> "PosteriorChain":
         return self

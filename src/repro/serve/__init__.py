@@ -9,7 +9,7 @@ into the "heavy traffic" deployment shape the ROADMAP targets:
   registered models survive restarts,
 * :mod:`repro.serve.scheduler` -- asyncio micro-batcher coalescing
   concurrent single-event requests into batched
-  ``logprob_batch``/``logpdf_batch`` calls under query-scope pinning,
+  ``logprob_batch``/``logpdf_batch`` calls,
 * :mod:`repro.serve.sharding`  -- :class:`~repro.serve.sharding.WorkerPool`,
   the sharded scheduler backend: consistent-hash-routed shards behind
   transports, each holding a digest-verified copy of every model and a

@@ -3,9 +3,10 @@
 Single-event requests that arrive concurrently are grouped per **batch
 key** ``(model, kind, condition, shard)`` and evaluated with one
 :meth:`~repro.engine.SpplModel.logprob_batch` /
-:meth:`~repro.engine.SpplModel.logpdf_batch` call per group, inside one
-:meth:`~repro.engine.SpplModel.query_scope` so the cache bound cannot
-evict entries mid-batch.  Groups form by **idle dispatch**, batching while
+:meth:`~repro.engine.SpplModel.logpdf_batch` call per group, against
+the model's shared :class:`~repro.spe.QueryCache` (each traversal keeps
+its own working set, so the cache bound holds while a batch runs and
+eviction never reaches it).  Groups form by **idle dispatch**, batching while
 the backend is busy, never by the clock: a key with no batch in flight
 flushes its new group on the next event-loop tick (same-tick requests
 still share it; no timer runs), a busy key's arrivals form one group
@@ -135,9 +136,7 @@ def evaluate_batch(
     The engine half of the ``batch`` op of
     :class:`~repro.serve.transport.ShardHost`, which both backends run,
     so sharded and unsharded deployments are bit-identical by
-    construction.  The whole batch runs inside one
-    :meth:`~repro.engine.SpplModel.query_scope`, pinning every cache
-    entry it touches against eviction until the batch completes.
+    construction.
 
     Requests sharing one :meth:`ResultCache.key` (duplicates coalesced
     into the same batch) are hoisted: one representative per key reaches
@@ -191,25 +190,24 @@ def _evaluate_uncached(
         # newly observed evidence) conditions successfully; the posterior
         # is now warm in this shard's caches.
         return [wire.ok(True)] * len(payloads)
-    with target.query_scope():
-        if kind in ("logprob", "prob"):
-            results = _batch_or_itemwise(target.logprob_batch, target.logprob, payloads)
-            if kind == "prob":
-                results = [
-                    ("ok", math.exp(r[1])) if r[0] == "ok" else r for r in results
-                ]
-            return results
-        if kind == "logpdf":
-            return _batch_or_itemwise(target.logpdf_batch, target.logpdf, payloads)
-        if kind == "sample":
-            results = []
-            for spec in payloads:
-                try:
-                    value = target.sample(n=spec.get("n"), seed=spec.get("seed"))
-                    results.append(wire.ok(value))
-                except Exception as error:
-                    results.append(wire.error(error))
-            return results
+    if kind in ("logprob", "prob"):
+        results = _batch_or_itemwise(target.logprob_batch, target.logprob, payloads)
+        if kind == "prob":
+            results = [
+                ("ok", math.exp(r[1])) if r[0] == "ok" else r for r in results
+            ]
+        return results
+    if kind == "logpdf":
+        return _batch_or_itemwise(target.logpdf_batch, target.logpdf, payloads)
+    if kind == "sample":
+        results = []
+        for spec in payloads:
+            try:
+                value = target.sample(n=spec.get("n"), seed=spec.get("seed"))
+                results.append(wire.ok(value))
+            except Exception as error:
+                results.append(wire.error(error))
+        return results
     return wire.error_results(ValueError("Unknown query kind %r." % (kind,)), len(payloads))
 
 

@@ -31,7 +31,6 @@ recursion limit.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from abc import ABC
@@ -58,11 +57,16 @@ from .interning import next_uid
 #: participating, log density).  See Lst. 1d of the paper.
 DensityPair = Tuple[int, float]
 
-#: Default entry bound of a :class:`QueryCache` (total across all four
-#: sections).  Large enough that interactive workloads never evict, small
-#: enough that a long-running service cannot pin unbounded posterior
-#: subgraphs.
+#: Default entry bound of a :class:`QueryCache` (all kinds together).
+#: Large enough that interactive workloads never evict, small enough that
+#: a long-running service cannot pin unbounded posterior subgraphs.
 DEFAULT_CACHE_ENTRIES = 100_000
+
+#: The traversal kinds a :class:`Memo` key starts with.
+CACHE_KINDS = ("logprob", "condition", "logpdf", "constrain")
+
+#: Sentinel distinguishing "not cached" from cached None results.
+_ABSENT = object()
 
 
 class ZeroProbabilityError(ValueError):
@@ -90,171 +94,29 @@ def assignment_key(assignment: Dict[str, object]):
 
 
 class Memo:
-    """Per-query scratch caches for probability, conditioning and density
-    traversals.
+    """A locked LRU of traversal results, shared by the queries that use it.
 
-    Entries are keyed on ``(node uid, restricted clause/assignment)``, so a
-    single ``Memo`` can safely be reused across queries and across
-    different events -- results can never be confused between two
-    assignments, and uids (unlike ``id()``) are never recycled.
+    Keys are tuples ``(kind, node uid, restricted clause/assignment)``,
+    where ``kind`` names the traversal (``"logprob"``, ``"condition"``,
+    ``"logpdf"`` or ``"constrain"``).  Results can therefore never be
+    confused between two traversals or two assignments, and uids (unlike
+    ``id()``) are never recycled, so one cache stays correct across any
+    number of queries.
+
+    :meth:`get` refreshes an entry as most recently used, and :meth:`put`
+    evicts least-recently-used entries while the cache holds more than
+    ``max_entries`` (``None``, the default of this scratch cache, never
+    evicts).  Eviction is purely a memory policy: every traversal keeps
+    the entries it reads in a working set of its own (see
+    :mod:`~repro.spe.traversal`), so eviction or :meth:`clear` on another
+    thread never reaches a running query, and an evicted result is
+    recomputed bit-identically the next time it is needed.
+
+    One lock guards the entries and the ``hits``/``misses``/``evictions``
+    counters, so the counters are exact under concurrency.
     """
 
-    def __init__(self):
-        self.logprob: Dict[tuple, float] = {}
-        self.condition: Dict[tuple, Optional["SPE"]] = {}
-        self.logpdf: Dict[tuple, DensityPair] = {}
-        self.constrain: Dict[tuple, Optional["SPE"]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _sections(self) -> Dict[str, object]:
-        return {
-            "logprob": self.logprob,
-            "condition": self.condition,
-            "logpdf": self.logpdf,
-            "constrain": self.constrain,
-        }
-
-    @contextlib.contextmanager
-    def query_scope(self):
-        """Bracket one public query (no-op for a scratch memo)."""
-        yield
-
-    def record_hit(self) -> None:
-        """Count one top-level cache hit (exact; overridden to lock)."""
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        """Count one top-level cache miss (exact; overridden to lock)."""
-        self.misses += 1
-
-    def stats(self) -> Dict[str, int]:
-        """Return the number of cached entries per cache (for diagnostics)."""
-        return {name: len(section) for name, section in self._sections().items()}
-
-    def clear(self) -> None:
-        """Drop every cached entry (counters included)."""
-        self.logprob.clear()
-        self.condition.clear()
-        self.logpdf.clear()
-        self.constrain.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-class _CacheSection:
-    """One LRU-ordered, bounded section of a :class:`QueryCache`.
-
-    The section exposes the small dict surface the traversal engine uses
-    (``in``, ``[]``, assignment, ``get``, ``len``, ``clear``); every
-    operation takes the owning cache's lock.  Entries are stored
-    most-recently-used last, tagged with the cache generation that last
-    touched them.  Membership tests and reads *refresh* an entry (recency
-    and generation), which both implements LRU and pins every entry an
-    in-flight query depends on against eviction mid-traversal.
-    """
-
-    __slots__ = ("_cache", "_data")
-
-    def __init__(self, cache: "QueryCache"):
-        self._cache = cache
-        self._data: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-    def _refresh(self, key, entry) -> None:
-        generation = self._cache._generation
-        if entry[0] != generation:
-            self._data[key] = (generation, entry[1])
-        self._data.move_to_end(key)
-
-    def __contains__(self, key) -> bool:
-        with self._cache._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                return False
-            self._refresh(key, entry)
-            return True
-
-    def __getitem__(self, key):
-        with self._cache._lock:
-            entry = self._data[key]
-            self._refresh(key, entry)
-            return entry[1]
-
-    def get(self, key, default=None):
-        with self._cache._lock:
-            entry = self._data.get(key)
-            if entry is None:
-                return default
-            self._refresh(key, entry)
-            return entry[1]
-
-    def __setitem__(self, key, value) -> None:
-        cache = self._cache
-        with cache._lock:
-            self._data[key] = (cache._generation, value)
-            self._data.move_to_end(key)
-            cache._evict_over_bound()
-
-    def __len__(self) -> int:
-        with self._cache._lock:
-            return len(self._data)
-
-    def __iter__(self):
-        with self._cache._lock:
-            return iter(list(self._data))
-
-    def clear(self) -> None:
-        with self._cache._lock:
-            self._data.clear()
-
-    def _oldest_generation(self) -> Optional[int]:
-        """Generation of the LRU entry (entries are ordered by last touch,
-        and generations are non-decreasing along that order)."""
-        if not self._data:
-            return None
-        first_key = next(iter(self._data))
-        return self._data[first_key][0]
-
-
-class QueryCache(Memo):
-    """A bounded, thread-safe, persistent cross-query cache owned by a model.
-
-    Like :class:`Memo`, entries are keyed on structural uids, so the cache
-    remains correct across repeated queries, across ``condition`` /
-    ``constrain`` chains (posterior models share their parent's cache, so
-    sub-expressions shared between prior and posterior hit the same
-    entries), and across structurally-equal models compiled separately.
-
-    Unlike the scratch :class:`Memo`, the four sections are **bounded**:
-    when the total entry count exceeds ``max_entries`` the cache evicts
-    least-recently-used entries (``max_entries=None`` disables eviction).
-    Eviction is purely a memory policy -- an evicted result is recomputed
-    bit-identically on the next query, because every traversal is
-    deterministic in the expression graph and the restricted
-    clause/assignment.
-
-    Eviction is generation-aware so it can never corrupt an in-flight
-    query: each public query runs inside :meth:`query_scope`, which bumps
-    the generation counter and registers itself as active; entries written
-    or read by an active query carry its generation and only entries
-    *older than every active query* are evictable.  A single query writing
-    more than ``max_entries`` entries may therefore temporarily exceed the
-    bound; the overshoot is reclaimed as soon as the query finishes.
-
-    All section operations, eviction, :meth:`clear`, and the
-    ``hits``/``misses`` counters hold one reentrant lock, so a cache may
-    be shared by models queried from multiple threads and the counters
-    stay **exact** under concurrency (the serve stats endpoint reports
-    them, and autoscaling decisions may consume them).
-
-    Cached ``condition``/``constrain`` entries hold references to posterior
-    sub-expressions, keeping them alive; the entry bound therefore also
-    bounds the number of pinned posterior subgraphs.  Call :meth:`clear`
-    (optionally scoped to one model's reachable uids) to release memory
-    eagerly between unrelated workloads.
-    """
-
-    def __init__(self, max_entries: Optional[int] = DEFAULT_CACHE_ENTRIES):
+    def __init__(self, max_entries: Optional[int] = None):
         if max_entries is not None:
             max_entries = int(max_entries)
             if max_entries < 1:
@@ -262,101 +124,51 @@ class QueryCache(Memo):
                     "QueryCache max_entries must be positive or None, got %r."
                     % (max_entries,)
                 )
-        self._lock = threading.RLock()
-        self._generation = 0
-        self._active: Dict[int, int] = {}
         self.max_entries = max_entries
-        self._hits = 0
-        self._misses = 0
+        self._lock = threading.Lock()
+        self._data: "OrderedDict[tuple, object]" = OrderedDict()
+        self._counts: Dict[str, int] = dict.fromkeys(CACHE_KINDS, 0)
+        self.hits = 0
+        self.misses = 0
         self.evictions = 0
-        self.logprob = _CacheSection(self)
-        self.condition = _CacheSection(self)
-        self.logpdf = _CacheSection(self)
-        self.constrain = _CacheSection(self)
 
-    # -- Exact hit/miss counters (locked; Memo's are plain attributes) -------
-
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @hits.setter
-    def hits(self, value: int) -> None:
+    def get(self, key: tuple, default=None, count: bool = False):
+        """The cached value for ``key`` (refreshed as most recently used),
+        or ``default``; ``count=True`` tallies the lookup as a hit or miss
+        (traversals count only their top-level lookup)."""
         with self._lock:
-            self._hits = int(value)
+            value = self._data.get(key, _ABSENT)
+            if value is _ABSENT:
+                if count:
+                    self.misses += 1
+                return default
+            self._data.move_to_end(key)
+            if count:
+                self.hits += 1
+            return value
 
-    @property
-    def misses(self) -> int:
-        return self._misses
-
-    @misses.setter
-    def misses(self, value: int) -> None:
+    def put(self, key: tuple, value) -> None:
+        """Store ``value`` as most recently used, evicting past the bound."""
+        data = self._data
         with self._lock:
-            self._misses = int(value)
-
-    def record_hit(self) -> None:
-        with self._lock:
-            self._hits += 1
-
-    def record_miss(self) -> None:
-        with self._lock:
-            self._misses += 1
-
-    @contextlib.contextmanager
-    def query_scope(self):
-        """Bracket one public query: entries it touches are pinned."""
-        with self._lock:
-            self._generation += 1
-            generation = self._generation
-            self._active[generation] = self._active.get(generation, 0) + 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                count = self._active.get(generation, 0) - 1
-                if count > 0:
-                    self._active[generation] = count
-                else:
-                    self._active.pop(generation, None)
-                self._evict_over_bound()
+            if key not in data:
+                self._counts[key[0]] = self._counts.get(key[0], 0) + 1
+            data[key] = value
+            data.move_to_end(key)
+            if self.max_entries is not None:
+                while len(data) > self.max_entries:
+                    old, _ = data.popitem(last=False)
+                    self._counts[old[0]] -= 1
+                    self.evictions += 1
 
     def total_entries(self) -> int:
-        """Total number of cached entries across all four sections."""
-        with self._lock:
-            return sum(len(s._data) for s in self._sections().values())
-
-    def _evict_over_bound(self) -> None:
-        """Evict LRU entries until within bound (caller holds the lock)."""
-        if self.max_entries is None:
-            return
-        sections = list(self._sections().values())
-        floor = min(self._active) if self._active else self._generation + 1
-        while sum(len(s._data) for s in sections) > self.max_entries:
-            victim = None
-            victim_generation = None
-            for section in sections:
-                oldest = section._oldest_generation()
-                if oldest is None or oldest >= floor:
-                    continue
-                if victim_generation is None or oldest < victim_generation:
-                    victim = section
-                    victim_generation = oldest
-            if victim is None:
-                return  # every remaining entry is pinned by an active query
-            victim._data.popitem(last=False)
-            self.evictions += 1
+        """Number of cached entries, all kinds together."""
+        return len(self._data)
 
     def stats(self) -> Dict[str, int]:
-        """Entry counts per section plus eviction/bound/generation info."""
+        """Number of cached entries per kind (for diagnostics)."""
         with self._lock:
-            stats = {
-                name: len(section._data)
-                for name, section in self._sections().items()
-            }
-            stats["evictions"] = self.evictions
-            stats["max_entries"] = self.max_entries
-            stats["generation"] = self._generation
-            return stats
+            return dict(self._counts)
 
     def clear(self, uids: Optional[Iterable[int]] = None) -> None:
         """Drop cached entries.
@@ -367,42 +179,47 @@ class QueryCache(Memo):
         *its own* reachable sub-expressions, so clearing a posterior's
         cache does not wipe entries that only its parent (or an unrelated
         model sharing the cache) can reach.
-
-        Like eviction, clearing never removes entries pinned by an
-        in-flight query on another thread (their generation is at least
-        the oldest active query's): a traversal that already checked a
-        key must still find it.  Such entries simply survive the clear --
-        they are always correct; clearing is purely a memory-release
-        operation.  With no active queries (the single-threaded case)
-        everything requested is dropped.
         """
         with self._lock:
-            floor = min(self._active) if self._active else self._generation + 1
             if uids is None:
-                for section in self._sections().values():
-                    if self._active:
-                        dead = [
-                            key
-                            for key, (generation, _) in section._data.items()
-                            if generation < floor
-                        ]
-                        for key in dead:
-                            del section._data[key]
-                    else:
-                        section._data.clear()
-                self.hits = 0
-                self.misses = 0
-                self.evictions = 0
+                self._data.clear()
+                self._counts = dict.fromkeys(CACHE_KINDS, 0)
+                self.hits = self.misses = self.evictions = 0
                 return
             uids = set(uids)
-            for section in self._sections().values():
-                dead = [
-                    key
-                    for key, (generation, _) in section._data.items()
-                    if key[0] in uids and generation < floor
-                ]
-                for key in dead:
-                    del section._data[key]
+            for key in [key for key in self._data if key[1] in uids]:
+                del self._data[key]
+                self._counts[key[0]] -= 1
+
+
+class QueryCache(Memo):
+    """The bounded, persistent cross-query cache a model owns.
+
+    Entries are keyed on structural uids, so the cache remains correct
+    across repeated queries, across ``condition`` / ``constrain`` chains
+    (posterior models share their parent's cache, so sub-expressions
+    shared between prior and posterior hit the same entries), and across
+    structurally-equal models compiled separately.
+
+    Unlike the scratch :class:`Memo`, it is bounded by default
+    (:data:`DEFAULT_CACHE_ENTRIES`).  Cached ``condition``/``constrain``
+    entries hold references to posterior sub-expressions, keeping them
+    alive; the entry bound therefore also bounds the retained posterior
+    subgraphs.  Call :meth:`clear` (optionally scoped to one model's
+    reachable uids) to release memory eagerly between unrelated
+    workloads.
+    """
+
+    def __init__(self, max_entries: Optional[int] = DEFAULT_CACHE_ENTRIES):
+        super().__init__(max_entries)
+
+    def stats(self) -> Dict[str, int]:
+        """Entry counts per kind plus the eviction count and the bound."""
+        with self._lock:
+            stats = dict(self._counts)
+            stats["evictions"] = self.evictions
+            stats["max_entries"] = self.max_entries
+            return stats
 
 
 class SPE(ABC):
@@ -528,10 +345,9 @@ class SPE(ABC):
         """Exact log probability of ``event``."""
         self._check_event_scope(event)
         memo = memo if memo is not None else Memo()
-        with memo.query_scope():
-            clauses = event_to_disjoint_clauses(event)
-            terms = [self.logprob_clause(clause, memo) for clause in clauses]
-            return log_add(terms)
+        clauses = event_to_disjoint_clauses(event)
+        terms = [self.logprob_clause(clause, memo) for clause in clauses]
+        return log_add(terms)
 
     def prob(self, event: Event, memo: Memo = None) -> float:
         """Exact probability of ``event``."""
@@ -559,33 +375,31 @@ class SPE(ABC):
 
         self._check_event_scope(event)
         memo = memo if memo is not None else Memo()
-        with memo.query_scope():
-            clauses = event_to_disjoint_clauses(event)
-            weighted: List[Tuple[SPE, float]] = []
-            for clause in clauses:
-                log_weight = self.logprob_clause(clause, memo)
-                if log_weight == NEG_INF:
-                    continue
-                conditioned = self.condition_clause(clause, memo)
-                if conditioned is None:
-                    continue
-                weighted.append((conditioned, log_weight))
-            if not weighted:
-                raise ZeroProbabilityError(
-                    "Conditioning event has probability zero: %r." % (event,),
-                    event,
-                )
-            children = [spe for spe, _ in weighted]
-            log_weights = [w for _, w in weighted]
-            return spe_sum(children, log_weights)
+        clauses = event_to_disjoint_clauses(event)
+        weighted: List[Tuple[SPE, float]] = []
+        for clause in clauses:
+            log_weight = self.logprob_clause(clause, memo)
+            if log_weight == NEG_INF:
+                continue
+            conditioned = self.condition_clause(clause, memo)
+            if conditioned is None:
+                continue
+            weighted.append((conditioned, log_weight))
+        if not weighted:
+            raise ZeroProbabilityError(
+                "Conditioning event has probability zero: %r." % (event,),
+                event,
+            )
+        children = [spe for spe, _ in weighted]
+        log_weights = [w for _, w in weighted]
+        return spe_sum(children, log_weights)
 
     def logpdf(self, assignment: Dict[str, object], memo: Memo = None) -> float:
         """Log density of an assignment to non-transformed variables."""
         memo = memo if memo is not None else Memo()
         self._check_assignment_scope(assignment)
-        with memo.query_scope():
-            _, log_density = self.logpdf_pair(assignment, memo)
-            return log_density
+        _, log_density = self.logpdf_pair(assignment, memo)
+        return log_density
 
     def logpdf_batch(
         self, assignments: Sequence[Dict[str, object]], memo: Memo = None
@@ -606,14 +420,13 @@ class SPE(ABC):
         """
         memo = memo if memo is not None else Memo()
         self._check_assignment_scope(assignment)
-        with memo.query_scope():
-            result = self.constrain_clause(assignment, memo)
-            if result is None:
-                raise ZeroProbabilityError(
-                    "Constraint assignment has zero density: %r." % (assignment,),
-                    assignment,
-                )
-            return result
+        result = self.constrain_clause(assignment, memo)
+        if result is None:
+            raise ZeroProbabilityError(
+                "Constraint assignment has zero density: %r." % (assignment,),
+                assignment,
+            )
+        return result
 
     def sample(self, rng, n: int = None):
         """Draw one sample (dict) or a list of ``n`` samples.

@@ -7,8 +7,8 @@ explicit stack instead of Python recursion, so model depth (e.g. a
 recursion limit.
 
 All four inference traversals memoize into a :class:`~repro.spe.base.Memo`
-(or its persistent subclass :class:`~repro.spe.base.QueryCache`), keyed on
-``(node uid, restricted clause/assignment)``:
+(or its bounded subclass :class:`~repro.spe.base.QueryCache`), keyed on
+``(kind, node uid, restricted clause/assignment)``:
 
 * the *node uid* is the structural uid of :mod:`~repro.spe.interning` --
   shared sub-expressions are therefore visited once per query (the
@@ -19,15 +19,14 @@ All four inference traversals memoize into a :class:`~repro.spe.base.Memo`
   older revisions used for densities, silently returned stale results when
   a memo was reused across assignments).
 
-The traversals only use the dict surface (``in``, ``[]``, assignment) of
-the four memo sections, so they run unchanged against both the plain-dict
-scratch :class:`~repro.spe.base.Memo` and the bounded, LRU-evicting
-sections of a :class:`~repro.spe.base.QueryCache`.  With a ``QueryCache``,
-every membership test and read *refreshes* the entry (recency and
-generation), which pins each entry a traversal depends on against
-eviction until the enclosing public query (see ``Memo.query_scope``)
-finishes -- interior reads like ``logs[child_key]`` after a pending-child
-pass can therefore never hit an evicted key.
+Each traversal keeps the entries it reads or writes in a working set of
+its own (:class:`_WorkingSet`): a lookup tries the working set first and
+then the shared cache, keeping what it finds, and each computed result
+goes into both.  A frame reads its children back from the working set
+after a pending-children pass, so the shared cache may evict (or another
+thread clear) any entry at any moment without reaching a running query;
+the shared cache stays within its bound at every step, however large one
+query is.
 
 The post-order pattern is shared by all traversals: a frame is re-examined
 after its missing children have been computed, so each frame is visited at
@@ -57,16 +56,51 @@ from .sum_node import SumSPE
 from .sum_node import spe_sum
 
 
-#: Sentinel distinguishing "not cached" from cached None/0.0 results in
-#: the single-lookup fast path (one locked operation instead of an
-#: ``in`` + ``[]`` pair on a shared QueryCache).
+#: Sentinel distinguishing "not cached" from cached None/0.0 results.
 _MISSING = object()
 
 
-def _entry(node: SPE, clause: Clause, keyer):
-    """Restrict ``clause`` to ``node`` and build its memo key."""
-    restricted = node._restrict(clause)
-    return restricted, (node._uid, keyer(restricted))
+class _WorkingSet:
+    """The entries of one traversal of one ``kind``, over a shared cache.
+
+    Keys are ``(node uid, restricted key)``; the shared cache holds the
+    same entries under ``(kind, node uid, restricted key)``.  Membership
+    tests fall through to the shared cache and keep what they find, and
+    writes go to both, so every entry the traversal has seen stays
+    readable until it returns.
+    """
+
+    __slots__ = ("kind", "shared", "local")
+
+    def __init__(self, kind: str, shared: Memo):
+        self.kind = kind
+        self.shared = shared
+        self.local: Dict[tuple, object] = {}
+
+    def root(self, key: tuple):
+        """The counted top-level lookup (``_MISSING`` when not cached)."""
+        return self.shared.get((self.kind,) + key, _MISSING, count=True)
+
+    def __contains__(self, key: tuple) -> bool:
+        if key in self.local:
+            return True
+        value = self.shared.get((self.kind,) + key, _MISSING)
+        if value is _MISSING:
+            return False
+        self.local[key] = value
+        return True
+
+    def __getitem__(self, key: tuple):
+        return self.local[key]
+
+    def __setitem__(self, key: tuple, value) -> None:
+        self.local[key] = value
+        self.shared.put((self.kind,) + key, value)
+
+
+def _root_key(node: SPE, clause: Clause, keyer) -> tuple:
+    """Restrict ``clause`` to ``node`` and build its working-set key."""
+    return (node._uid, keyer(node._restrict(clause)))
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +109,11 @@ def _entry(node: SPE, clause: Clause, keyer):
 
 def logprob_clause(root: SPE, clause: Clause, memo: Memo) -> float:
     """Log probability of a solved clause (iterative, memoized)."""
-    logs = memo.logprob
-    _, key0 = _entry(root, clause, clause_key)
-    cached = logs.get(key0, _MISSING)
+    logs = _WorkingSet("logprob", memo)
+    key0 = _root_key(root, clause, clause_key)
+    cached = logs.root(key0)
     if cached is not _MISSING:
-        memo.record_hit()
         return cached
-    memo.record_miss()
     stack = [(root, clause)]
     while stack:
         node, incoming = stack[-1]
@@ -136,13 +168,11 @@ def logprob_clause(root: SPE, clause: Clause, memo: Memo) -> float:
 
 def condition_clause(root: SPE, clause: Clause, memo: Memo) -> Optional[SPE]:
     """Condition on a solved clause; None if it has probability zero."""
-    conds = memo.condition
-    _, key0 = _entry(root, clause, clause_key)
-    cached = conds.get(key0, _MISSING)
+    conds = _WorkingSet("condition", memo)
+    key0 = _root_key(root, clause, clause_key)
+    cached = conds.root(key0)
     if cached is not _MISSING:
-        memo.record_hit()
         return cached
-    memo.record_miss()
     stack = [(root, clause)]
     while stack:
         node, incoming = stack[-1]
@@ -233,13 +263,11 @@ def condition_clause(root: SPE, clause: Clause, memo: Memo) -> Optional[SPE]:
 
 def logpdf_pair(root: SPE, assignment: Dict[str, object], memo: Memo) -> DensityPair:
     """Lexicographic density (continuous dimension count, log density)."""
-    dens = memo.logpdf
-    _, key0 = _entry(root, assignment, assignment_key)
-    cached = dens.get(key0, _MISSING)
+    dens = _WorkingSet("logpdf", memo)
+    key0 = _root_key(root, assignment, assignment_key)
+    cached = dens.root(key0)
     if cached is not _MISSING:
-        memo.record_hit()
         return cached
-    memo.record_miss()
     stack = [(root, assignment)]
     while stack:
         node, incoming = stack[-1]
@@ -311,13 +339,11 @@ def constrain_clause(
     root: SPE, assignment: Dict[str, object], memo: Memo
 ) -> Optional[SPE]:
     """Condition on equality constraints; None if the density is zero."""
-    cons = memo.constrain
-    _, key0 = _entry(root, assignment, assignment_key)
-    cached = cons.get(key0, _MISSING)
+    cons = _WorkingSet("constrain", memo)
+    key0 = _root_key(root, assignment, assignment_key)
+    cached = cons.root(key0)
     if cached is not _MISSING:
-        memo.record_hit()
         return cached
-    memo.record_miss()
     stack = [(root, assignment)]
     while stack:
         node, incoming = stack[-1]

@@ -90,6 +90,27 @@ class TestCheckGate:
         assert any("'c' missing" in f for f in failures)
 
 
+class TestCacheBoundGate:
+    def _with_bound(self, respected):
+        snapshot = _snapshot(BASE_TIMES)
+        snapshot["cache_bound"] = {
+            "bound": 512,
+            "peak_entries": 512,
+            "with_chain_peak_entries": 512 if respected else 4096,
+            "bound_respected": respected,
+        }
+        return snapshot
+
+    def test_respected_bound_passes(self):
+        base = _snapshot(BASE_TIMES)
+        assert run_all.check_gate(self._with_bound(True), base) == []
+
+    def test_exceeded_bound_fails_even_without_baseline_rows(self):
+        failures = run_all.check_gate(self._with_bound(False), _snapshot(BASE_TIMES))
+        assert any("query-cache bound 512 exceeded" in f for f in failures)
+        assert any("4096 with a posterior chain open" in f for f in failures)
+
+
 def _compiled_snapshot(times, identical=None):
     identical = identical or {}
     snapshot = _snapshot(BASE_TIMES)

@@ -453,3 +453,36 @@ class TestDiscreteTruncation:
             assert repr(copy._log_mass) == repr(fresh._log_mass)
             assert repr(log_w) == repr(safe_log(fresh._mass) - parent._log_mass)
             assert copy.structural_key() == fresh.structural_key()
+
+
+class TestInvalidParameters:
+    """Parameters outside a family's domain give a NaN truncation mass;
+    the leaf refuses them instead of answering NaN."""
+
+    @pytest.mark.parametrize(
+        "source, shown",
+        [
+            ("X ~ normal(0, -1)", "norm(loc=0, scale=-1)"),
+            ("X ~ poisson(-1.0)", "poisson(-1.0)"),
+            ("X ~ beta(-1, 2)", "beta(-1, 2"),
+            ("X ~ binomial(5, 1.5)", "binom(5, 1.5)"),
+        ],
+    )
+    def test_translation_fails_naming_the_parameters(self, source, shown):
+        from repro.engine import SpplModel
+
+        with pytest.raises(ValueError, match="Invalid parameters") as error:
+            SpplModel.from_source(source)
+        assert shown in str(error.value)
+
+    def test_factories_refuse_invalid_parameters(self):
+        for build in (lambda: normal(0, -1), lambda: poisson(-1.0),
+                      lambda: beta(-1, 2), lambda: binomial(5, 1.5)):
+            with pytest.raises(ValueError, match="Invalid parameters"):
+                build()
+
+    def test_zero_mass_truncation_keeps_its_message(self):
+        with pytest.raises(ValueError, match="zero probability"):
+            RealDistribution(normal(0, 1).dist, 1e9, math.inf)
+        with pytest.raises(ValueError, match="zero probability"):
+            DiscreteDistribution(poisson(3).dist, -5, -1)

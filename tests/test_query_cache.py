@@ -2,7 +2,9 @@
 
 Covers the hardening pass on the persistent cache:
 
-* the entry bound with generation/LRU eviction and observable stats,
+* the entry bound with LRU eviction and observable stats, held at every
+  step (also while a posterior chain is open, and during one query that
+  touches more entries than the bound),
 * bit-identical recomputation of evicted results,
 * clear() scoped to one model's reachable sub-expressions,
 * ZeroProbabilityError from both condition() and constrain(), leaving the
@@ -11,6 +13,7 @@ Covers the hardening pass on the persistent cache:
 """
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 
 from repro.distributions import bernoulli
 from repro.distributions import normal
+from repro.engine import PosteriorChain
 from repro.engine import SpplModel
 from repro.spe import DEFAULT_CACHE_ENTRIES
 from repro.spe import Memo
@@ -115,15 +119,50 @@ class TestBoundedCache:
         assert bounded.cache.evictions > 0
         assert bounded.cache.total_entries() <= 8
 
-    def test_single_query_may_overshoot_then_shrinks(self):
-        # One query writes more entries than the bound: it must complete
-        # correctly (entries of the in-flight query are pinned), and the
-        # overshoot is reclaimed by the end of the query.
-        model = _model(cache_size=2)
+    def test_single_query_larger_than_bound_never_overshoots(self):
+        # One query writes more entries than the bound: it completes
+        # correctly from its own working set, and the shared cache is
+        # within its bound after every single write.
+        class WatchedCache(QueryCache):
+            peak = 0
+
+            def put(self, key, value):
+                super().put(key, value)
+                self.peak = max(self.peak, self.total_entries())
+
+        cache = WatchedCache(max_entries=2)
+        model = _model(cache=cache)
         reference = _model(cache=False)
         event = (X < 1) | ((X > 2) & (K == 1))
         assert model.logprob(event) == reference.logprob(event)
-        assert model.cache.total_entries() <= 2
+        posterior = model.condition(event)
+        assert posterior.logprob(K == 1) == reference.condition(event).logprob(K == 1)
+        assert model.logpdf({"X": 0.5, "K": 1}) == reference.logpdf({"X": 0.5, "K": 1})
+        assert cache.evictions > 0
+        assert cache.peak == 2
+
+    def test_bound_holds_with_a_posterior_chain_open(self):
+        """Regression: an open PosteriorChain used to pin every entry
+        touched after it opened, so the cache grew past its bound for as
+        long as the chain lived."""
+        bound = 64
+        model = SpplModel(hmm.model(2).spe, cache_size=bound)
+        reference = SpplModel(hmm.model(2).spe, cache=False)
+        x0, x1, z1 = Id(hmm.x(0)), Id(hmm.x(1)), Id(hmm.z(1))
+        with PosteriorChain(model) as chain:
+            chain.observe(x0 < 0.5)
+            ref_posterior = reference.condition(x0 < 0.5)
+            for i in range(60):
+                event = x1 < 0.05 * i
+                assert model.logprob(event) == reference.logprob(event)
+                assert model.cache.total_entries() <= bound
+                assert chain.current.logprob(z1 == i % 2) == ref_posterior.logprob(
+                    z1 == i % 2
+                )
+                assert model.cache.total_entries() <= bound
+            chain.observe(x1 > 0.25)
+            assert model.cache.total_entries() <= bound
+        assert model.cache.evictions > 0
 
     def test_stats_expose_hits_misses_evictions(self):
         model = _model(cache_size=64)
@@ -157,11 +196,13 @@ class TestScopedClear:
         model = _model()
         posterior = model.condition(K == 1)
         posterior.logprob(X < 1)
-        posterior_uids = posterior.spe.reachable_uids()
-        section = model.cache.logprob
-        assert any(key[0] in posterior_uids for key in section)
+        entries = model.cache.total_entries()
+        misses = model.cache.misses
         posterior.clear_cache()
-        assert not any(key[0] in posterior_uids for key in section)
+        assert model.cache.total_entries() < entries
+        # The posterior query is no longer cached: repeating it misses.
+        posterior.logprob(X < 1)
+        assert model.cache.misses == misses + 1
 
     def test_clear_everything_wipes_shared_cache(self):
         model = _model()
@@ -231,8 +272,8 @@ class TestZeroProbabilityErrors:
         model = _model(cache_size=4)
         with pytest.raises(ZeroProbabilityError):
             model.condition(X > 1e9)
-        # The failed query's scope was released: later inserts may evict
-        # its entries, keeping the cache within bound.
+        # The failed query holds nothing: later inserts may evict its
+        # entries, keeping the cache within bound.
         for i in range(50):
             model.logprob(X < i * 0.1)
         assert model.cache.total_entries() <= 4
@@ -266,100 +307,62 @@ class TestConcurrentCache:
         assert not errors
         assert model.cache.total_entries() <= 32
 
+    def test_eight_threads_on_a_tiny_cache_answer_bit_identically(self):
+        # cache_size=8 is far below one query's entry count, so every
+        # thread's traversals run while the others evict their entries.
+        model = _model(cache_size=8)
+        reference = _model(cache=False)
+        thresholds = np.linspace(-2, 7, 12)
+        queries = []
+        for t in thresholds:
+            event = (X < t) | (K == 0)
+            queries.append(("logprob", event, reference.logprob(event)))
+            posterior = reference.condition(X > t - 3)
+            queries.append(
+                ("condition", X > t - 3, posterior.logprob((X < t) & (K == 1)))
+            )
+            queries.append(("logpdf", {"X": t, "K": 1}, reference.logpdf({"X": t, "K": 1})))
+            observed = reference.constrain({"X": t})
+            queries.append(("constrain", {"X": t}, observed.logprob(K == 1)))
 
-class TestExactCounters:
-    def test_hits_misses_exact_under_contention(self):
-        # 8 threads x 200 repeats of the same top-level queries: every
-        # top-level lookup is either a hit or a miss, and with the
-        # counters incremented under the section lock the totals are
-        # exact, not best-effort (the serve stats endpoint reports them).
-        model = _model()
-        events = [X < t for t in np.linspace(-1, 6, 10)]
-        model.logprob_batch(events)  # 10 misses, all entries present
-        repeats, n_threads = 200, 8
-        barrier = threading.Barrier(n_threads)
-        base_hits = model.cache.hits
-        base_misses = model.cache.misses
+        def answer(kind, query, t_index):
+            if kind == "logprob":
+                return model.logprob(query)
+            if kind == "condition":
+                t = thresholds[t_index]
+                return model.condition(query).logprob((X < t) & (K == 1))
+            if kind == "logpdf":
+                return model.logpdf(query)
+            return model.constrain(query).logprob(K == 1)
 
-        def worker():
-            barrier.wait()
-            for _ in range(repeats):
-                for event in events:
-                    model.logprob(event)
+        errors = []
+        barrier = threading.Barrier(8)
 
-        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Every one of the n_threads * repeats * len(events) queries was a
-        # top-level hit; an approximate (racy) counter would drop some.
-        assert model.cache.hits - base_hits == n_threads * repeats * len(events)
-        assert model.cache.misses == base_misses
+        def worker(offset):
+            try:
+                barrier.wait()
+                for i in range(len(queries)):
+                    j = (i + offset * 7) % len(queries)
+                    kind, query, expect = queries[j]
+                    assert answer(kind, query, j // 4) == expect, (kind, query)
+                    assert model.cache.total_entries() <= 8
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
 
-    def test_record_hit_miss_locked_on_query_cache(self):
-        cache = QueryCache()
-        cache.record_hit()
-        cache.record_miss()
-        assert (cache.hits, cache.misses) == (1, 1)
-        cache.hits = 0
-        cache.misses = 0
-        assert (cache.hits, cache.misses) == (0, 0)
-
-    def test_plain_memo_counters_still_work(self):
-        memo = Memo()
-        memo.record_hit()
-        memo.record_miss()
-        assert (memo.hits, memo.misses) == (1, 1)
-        memo.clear()
-        assert (memo.hits, memo.misses) == (0, 0)
-
-
-class TestMemoCompatibility:
-    def test_scratch_memo_unaffected_by_bounds(self):
-        model = _model()
-        memo = Memo()
-        model.logprob(K == 1, memo=memo)
-        assert memo.stats()["logprob"] > 0
-        assert model.cache.total_entries() == 0
-
-    def test_query_cache_sections_support_dict_surface(self):
-        cache = QueryCache(max_entries=4)
-        section = cache.logprob
-        section[(1, "a")] = 0.5
-        assert (1, "a") in section
-        assert section[(1, "a")] == 0.5
-        assert section.get((2, "b")) is None
-        assert len(section) == 1
-        section.clear()
-        assert len(section) == 0
-
-
-class TestClearRespectsPinning:
-    def test_clear_keeps_entries_pinned_by_an_active_query(self):
-        """A concurrent clear() must not remove entries an in-flight query
-        already depends on (same floor rule as eviction)."""
-        model = _model()
-        model.logprob(K == 1)
-        cache = model.cache
-        with cache.query_scope():
-            pinned = next(iter(cache.logprob))
-            _ = cache.logprob[pinned]  # touched under the active scope
-            cache.clear()
-            assert pinned in cache.logprob  # survived: another thread reads it next
-        cache.clear()  # no active queries: now everything goes
-        assert cache.total_entries() == 0
-
-    def test_scoped_clear_keeps_pinned_entries(self):
-        model = _model()
-        posterior = model.condition(K == 1)
-        posterior.logprob(X < 1)
-        cache = model.cache
-        with cache.query_scope():
-            pinned = next(iter(cache.logprob))
-            _ = cache.logprob[pinned]
-            posterior.clear_cache(everything=True)
-            assert pinned in cache.logprob
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside cache operations
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert model.cache.evictions > 0
+        assert model.cache.total_entries() <= 8
 
     def test_concurrent_clear_during_queries_never_corrupts(self):
         model = _model(cache_size=64)
@@ -391,3 +394,83 @@ class TestClearRespectsPinning:
         for t in threads:
             t.join()
         assert not errors
+
+
+class TestExactCounters:
+    def test_hits_misses_exact_under_contention(self):
+        # 8 threads x 200 repeats of the same top-level queries: every
+        # top-level lookup is either a hit or a miss, and with the
+        # counters incremented under the section lock the totals are
+        # exact, not best-effort (the serve stats endpoint reports them).
+        model = _model()
+        events = [X < t for t in np.linspace(-1, 6, 10)]
+        model.logprob_batch(events)  # 10 misses, all entries present
+        repeats, n_threads = 200, 8
+        barrier = threading.Barrier(n_threads)
+        base_hits = model.cache.hits
+        base_misses = model.cache.misses
+
+        def worker():
+            barrier.wait()
+            for _ in range(repeats):
+                for event in events:
+                    model.logprob(event)
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        # Every one of the n_threads * repeats * len(events) queries was a
+        # top-level hit; an approximate (racy) counter would drop some.
+        assert model.cache.hits - base_hits == n_threads * repeats * len(events)
+        assert model.cache.misses == base_misses
+
+    def test_counted_lookups_on_query_cache(self):
+        cache = QueryCache()
+        key = ("logprob", 1, frozenset())
+        assert cache.get(key, count=True) is None
+        cache.put(key, -0.5)
+        assert cache.get(key, count=True) == -0.5
+        assert cache.get(key) == -0.5  # uncounted (interior) lookup
+        assert (cache.hits, cache.misses) == (1, 1)
+        cache.clear()
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_plain_memo_counters_still_work(self):
+        memo = Memo()
+        key = ("logpdf", 1, frozenset())
+        memo.get(key, count=True)
+        memo.put(key, (0, -1.0))
+        memo.get(key, count=True)
+        assert (memo.hits, memo.misses) == (1, 1)
+        memo.clear()
+        assert (memo.hits, memo.misses) == (0, 0)
+
+
+class TestMemoCompatibility:
+    def test_scratch_memo_unaffected_by_bounds(self):
+        model = _model()
+        memo = Memo()
+        model.logprob(K == 1, memo=memo)
+        assert memo.stats()["logprob"] > 0
+        assert model.cache.total_entries() == 0
+
+    def test_query_cache_get_put_surface(self):
+        cache = QueryCache(max_entries=2)
+        cache.put(("logprob", 1, "a"), 0.5)
+        cache.put(("condition", 1, "a"), None)
+        assert cache.get(("logprob", 1, "a")) == 0.5
+        assert cache.get(("condition", 1, "a"), "absent") is None
+        assert cache.get(("logprob", 2, "b")) is None
+        # Reads refresh recency: the logprob entry is now the LRU one.
+        cache.put(("logpdf", 2, "b"), (1, 0.0))
+        assert cache.get(("logprob", 1, "a"), "absent") == "absent"
+        assert cache.stats() == {
+            "logprob": 0, "condition": 1, "logpdf": 1, "constrain": 0,
+            "evictions": 1, "max_entries": 2,
+        }
+        cache.clear(uids=[2])
+        assert cache.total_entries() == 1
+        cache.clear()
+        assert cache.total_entries() == 0

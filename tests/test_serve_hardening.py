@@ -686,6 +686,27 @@ class TestLifecycleInProcess:
 
         run(main())
 
+    def test_register_payload_with_invalid_leaf_parameters_is_a_400(self):
+        from repro.serve import ServeClientError
+
+        payload = SpplModel.from_source("X ~ normal(0, 1)").to_json()
+        assert '"scale": 1' in payload
+        invalid = payload.replace('"scale": 1', '"scale": -1')
+
+        async def main():
+            service, client = await start_service()
+            try:
+                with pytest.raises(ServeClientError, match="400") as error:
+                    await client.register_model("bad", payload=invalid)
+                assert "Invalid parameters for norm(loc=0, scale=-1)" in str(
+                    error.value
+                )
+                assert "bad" not in await client.models()
+            finally:
+                await service.close()
+
+        run(main())
+
 
 # ---------------------------------------------------------------------------
 # Latency percentiles and eviction pressure on /v1/stats.
