@@ -135,7 +135,7 @@ class Memo:
     def get(self, key: tuple, default=None, count: bool = False):
         """The cached value for ``key`` (refreshed as most recently used),
         or ``default``; ``count=True`` tallies the lookup as a hit or miss
-        (traversals count only their top-level lookup)."""
+        (a traversal counts only its root lookup)."""
         with self._lock:
             value = self._data.get(key, _ABSENT)
             if value is _ABSENT:
@@ -236,17 +236,18 @@ class SPE(ABC):
     # -- Structure -----------------------------------------------------------
 
     @property
-    @abstractmethod
     def scope(self) -> FrozenSet[str]:
-        """The set of program variables this expression defines."""
+        """The set of program variables this expression defines (each node
+        type sets ``_scope`` in its constructor)."""
+        return self._scope
 
     @abstractmethod
     def children_nodes(self) -> List["SPE"]:
         """Immediate children (empty for leaves)."""
 
-    @abstractmethod
     def _restrict(self, clause: Clause) -> Clause:
         """Restrict a clause/assignment to the variables of this scope."""
+        return {s: v for s, v in clause.items() if s in self._scope}
 
     def _intern_local_key(self, child_reps) -> Optional[tuple]:
         """Structural key given interned children; None = no identity."""

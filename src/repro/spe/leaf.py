@@ -65,10 +65,6 @@ class Leaf(SPE):
 
     # -- Structure -----------------------------------------------------------
 
-    @property
-    def scope(self) -> FrozenSet[str]:
-        return self._scope
-
     def children_nodes(self) -> List[SPE]:
         return []
 
@@ -120,9 +116,6 @@ class Leaf(SPE):
             else:
                 pieces.append(self.resolved_transform(s).invert(values))
         return intersection(*pieces)
-
-    def _restrict(self, clause: Clause) -> Clause:
-        return {s: v for s, v in clause.items() if s in self._scope}
 
     # -- Inference kernels (invoked by the iterative traversal engine) --------
 

@@ -7,7 +7,6 @@ from typing import List
 from typing import Optional
 from typing import Sequence
 
-from ..events import Clause
 from ..transforms import Transform
 from .base import SPE
 from .interning import maybe_intern
@@ -35,10 +34,6 @@ class ProductSPE(SPE):
 
     # -- Structure -----------------------------------------------------------
 
-    @property
-    def scope(self) -> FrozenSet[str]:
-        return self._scope
-
     def children_nodes(self) -> List[SPE]:
         return list(self.children)
 
@@ -52,9 +47,6 @@ class ProductSPE(SPE):
 
     def __repr__(self) -> str:
         return "ProductSPE(%s)" % (list(self.children),)
-
-    def _restrict(self, clause: Clause) -> Clause:
-        return {s: v for s, v in clause.items() if s in self._scope}
 
     # -- Derived variables ----------------------------------------------------
 

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import math
 from typing import Dict
-from typing import FrozenSet
 from typing import List
 from typing import Optional
 from typing import Sequence
 
 from ..distributions import NEG_INF
 from ..distributions import log_add
-from ..events import Clause
 from ..transforms import Transform
 from .base import SPE
 from .interning import maybe_intern
@@ -45,10 +43,6 @@ class SumSPE(SPE):
 
     # -- Structure -----------------------------------------------------------
 
-    @property
-    def scope(self) -> FrozenSet[str]:
-        return self._scope
-
     def children_nodes(self) -> List[SPE]:
         return list(self.children)
 
@@ -72,9 +66,6 @@ class SumSPE(SPE):
             for w, child in zip(self.log_weights, self.children)
         )
         return "SumSPE(%s)" % (pairs,)
-
-    def _restrict(self, clause: Clause) -> Clause:
-        return {s: v for s, v in clause.items() if s in self._scope}
 
     # -- Derived variables ----------------------------------------------------
 

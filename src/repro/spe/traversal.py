@@ -6,8 +6,10 @@ explicit stack instead of Python recursion, so model depth (e.g. a
 10,000-step HMM chain) is bounded by memory, not by the interpreter's
 recursion limit.
 
-All four inference traversals memoize into a :class:`~repro.spe.base.Memo`
-(or its bounded subclass :class:`~repro.spe.base.QueryCache`), keyed on
+The four inference traversals are one post-order driver (:func:`_walk`)
+plus one rule per kind and node type.  Results are memoized into a
+:class:`~repro.spe.base.Memo` (or its bounded subclass
+:class:`~repro.spe.base.QueryCache`), keyed on
 ``(kind, node uid, restricted clause/assignment)``:
 
 * the *node uid* is the structural uid of :mod:`~repro.spe.interning` --
@@ -19,22 +21,32 @@ All four inference traversals memoize into a :class:`~repro.spe.base.Memo`
   older revisions used for densities, silently returned stale results when
   a memo was reused across assignments).
 
-Each traversal keeps the entries it reads or writes in a working set of
-its own (:class:`_WorkingSet`): a lookup tries the working set first and
-then the shared cache, keeping what it finds, and each computed result
-goes into both.  A frame reads its children back from the working set
-after a pending-children pass, so the shared cache may evict (or another
-thread clear) any entry at any moment without reaching a running query;
-the shared cache stays within its bound at every step, however large one
-query is.
+A frame is ``(node, restricted, key)``, where ``key[0]`` names the kind.
+The parent restricts each child's clause once and passes it in the frame
+(a sum's children share its scope, so they take its clause and key as
+they are).  A rule asks for each value it depends on through
+``need(kind, child, restricted, restricted_key)``, which reads the walk's
+own working set first and otherwise asks the shared cache once: a hit is
+kept in the working set, a miss marks the key pending there and pushes a
+frame.  A rule returns its value, or :data:`_PENDING` once it has pushed
+the frames it still needs; children are pushed in child order.  So every
+key is looked up in the shared cache at most once per walk, and
+``condition``'s (``constrain``'s) sum rule gets its children's
+probabilities (densities) as ordinary dependencies of the same walk.
 
-The post-order pattern is shared by all traversals: a frame is re-examined
-after its missing children have been computed, so each frame is visited at
-most twice and the total work is linear in the number of graph edges.
+Only the root lookup counts as a cache hit or miss.  Results go into the
+working set and the shared cache; rules read their dependencies from the
+working set, so the shared cache may evict (or another thread clear) any
+entry at any moment without reaching a running query, and it stays within
+its bound at every step.  Only complete results are ever put, so a rule
+that raises leaves the shared cache uncorrupted.  A frame is re-examined
+after the frames it pushed have finished, so the total work is linear in
+the number of graph edges.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 from typing import List
 from typing import Optional
@@ -47,7 +59,6 @@ from ..events import Clause
 from .base import DensityPair
 from .base import Memo
 from .base import SPE
-from .base import assignment_key
 from .base import clause_key
 from .leaf import Leaf
 from .product_node import ProductSPE
@@ -56,385 +67,230 @@ from .sum_node import SumSPE
 from .sum_node import spe_sum
 
 
-#: Sentinel distinguishing "not cached" from cached None/0.0 results.
-_MISSING = object()
+#: Marks a value not computed yet: a rule's "still waiting" result, and a
+#: working-set entry whose frame is on the stack.  Never put in a cache.
+_PENDING = object()
 
 
-class _WorkingSet:
-    """The entries of one traversal of one ``kind``, over a shared cache.
+def _walk(kind: str, root: SPE, clause: Clause, memo: Memo):
+    """The ``kind`` value of ``root`` under ``clause``: one post-order walk."""
+    restricted = root._restrict(clause)
+    root_key = (kind, root._uid, clause_key(restricted))
+    value = memo.get(root_key, _PENDING, count=True)
+    if value is not _PENDING:
+        return value
+    local = {root_key: _PENDING}
+    stack = [(root, restricted, root_key)]
 
-    Keys are ``(node uid, restricted key)``; the shared cache holds the
-    same entries under ``(kind, node uid, restricted key)``.  Membership
-    tests fall through to the shared cache and keep what they find, and
-    writes go to both, so every entry the traversal has seen stays
-    readable until it returns.
-    """
+    def need(kind, node, restricted, restricted_key):
+        key = (kind, node._uid, restricted_key)
+        if key in local:
+            value = local[key]
+        else:
+            value = local[key] = memo.get(key, _PENDING)
+        if value is _PENDING:
+            stack.append((node, restricted, key))
+        return value
 
-    __slots__ = ("kind", "shared", "local")
+    while stack:
+        node, restricted, key = stack[-1]
+        if local[key] is not _PENDING:
+            stack.pop()
+            continue
+        if isinstance(node, Leaf):
+            value = _LEAF_RULES[key[0]](node, restricted)
+        elif isinstance(node, SumSPE):
+            value = _SUM_RULES[key[0]](node, restricted, key[2], need)
+        else:
+            value = _PRODUCT_RULES[key[0]](node, restricted, need)
+        if value is not _PENDING:
+            local[key] = value
+            memo.put(key, value)
+            stack.pop()
+    return local[root_key]
 
-    def __init__(self, kind: str, shared: Memo):
-        self.kind = kind
-        self.shared = shared
-        self.local: Dict[tuple, object] = {}
-
-    def root(self, key: tuple):
-        """The counted top-level lookup (``_MISSING`` when not cached)."""
-        return self.shared.get((self.kind,) + key, _MISSING, count=True)
-
-    def __contains__(self, key: tuple) -> bool:
-        if key in self.local:
-            return True
-        value = self.shared.get((self.kind,) + key, _MISSING)
-        if value is _MISSING:
-            return False
-        self.local[key] = value
-        return True
-
-    def __getitem__(self, key: tuple):
-        return self.local[key]
-
-    def __setitem__(self, key: tuple, value) -> None:
-        self.local[key] = value
-        self.shared.put((self.kind,) + key, value)
-
-
-def _root_key(node: SPE, clause: Clause, keyer) -> tuple:
-    """Restrict ``clause`` to ``node`` and build its working-set key."""
-    return (node._uid, keyer(node._restrict(clause)))
-
-
-# ---------------------------------------------------------------------------
-# Probability of a solved clause.
-# ---------------------------------------------------------------------------
 
 def logprob_clause(root: SPE, clause: Clause, memo: Memo) -> float:
     """Log probability of a solved clause (iterative, memoized)."""
-    logs = _WorkingSet("logprob", memo)
-    key0 = _root_key(root, clause, clause_key)
-    cached = logs.root(key0)
-    if cached is not _MISSING:
-        return cached
-    stack = [(root, clause)]
-    while stack:
-        node, incoming = stack[-1]
-        restricted = node._restrict(incoming)
-        key = (node._uid, clause_key(restricted))
-        if key in logs:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            logs[key] = node._logprob_restricted(restricted)
-            stack.pop()
-            continue
-        if isinstance(node, SumSPE):
-            child_keys = []
-            pending = []
-            for child in node.children:
-                child_restricted = child._restrict(restricted)
-                child_key = (child._uid, clause_key(child_restricted))
-                child_keys.append(child_key)
-                if child_key not in logs:
-                    pending.append((child, restricted))
-            if pending:
-                stack.extend(pending)
-                continue
-            logs[key] = log_add(
-                [w + logs[k] for w, k in zip(node.log_weights, child_keys)]
-            )
-            stack.pop()
-            continue
-        # ProductSPE: only components mentioned by the clause contribute.
-        child_keys = []
-        pending = []
-        for child in node.children:
-            child_clause = {s: v for s, v in restricted.items() if s in child.scope}
-            if not child_clause:
-                continue
-            child_key = (child._uid, clause_key(child_clause))
-            child_keys.append(child_key)
-            if child_key not in logs:
-                pending.append((child, child_clause))
-        if pending:
-            stack.extend(pending)
-            continue
-        logs[key] = sum(logs[k] for k in child_keys)
-        stack.pop()
-    return logs[key0]
+    return _walk("logprob", root, clause, memo)
 
-
-# ---------------------------------------------------------------------------
-# Conditioning on a solved clause.
-# ---------------------------------------------------------------------------
 
 def condition_clause(root: SPE, clause: Clause, memo: Memo) -> Optional[SPE]:
     """Condition on a solved clause; None if it has probability zero."""
-    conds = _WorkingSet("condition", memo)
-    key0 = _root_key(root, clause, clause_key)
-    cached = conds.root(key0)
-    if cached is not _MISSING:
-        return cached
-    stack = [(root, clause)]
-    while stack:
-        node, incoming = stack[-1]
-        restricted = node._restrict(incoming)
-        key = (node._uid, clause_key(restricted))
-        if key in conds:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            conds[key] = node._condition_restricted(restricted)
-            stack.pop()
-            continue
-        if isinstance(node, SumSPE):
-            # Children whose branch retains positive probability must be
-            # conditioned; their probabilities come from the (shared,
-            # iterative) logprob traversal.
-            child_logprobs = [
-                logprob_clause(child, restricted, memo) for child in node.children
-            ]
-            pending = []
-            for child, child_logprob in zip(node.children, child_logprobs):
-                if child_logprob == NEG_INF:
-                    continue
-                child_key = (child._uid, clause_key(child._restrict(restricted)))
-                if child_key not in conds:
-                    pending.append((child, restricted))
-            if pending:
-                stack.extend(pending)
-                continue
-            children: List[SPE] = []
-            log_weights: List[float] = []
-            for w, child, child_logprob in zip(
-                node.log_weights, node.children, child_logprobs
-            ):
-                if child_logprob == NEG_INF:
-                    continue
-                conditioned = conds[
-                    (child._uid, clause_key(child._restrict(restricted)))
-                ]
-                if conditioned is None:
-                    continue
-                children.append(conditioned)
-                log_weights.append(w + child_logprob)
-            conds[key] = spe_sum(children, log_weights) if children else None
-            stack.pop()
-            continue
-        # ProductSPE: condition each mentioned component independently.
-        infos = []
-        pending = []
-        for child in node.children:
-            child_clause = {s: v for s, v in restricted.items() if s in child.scope}
-            if not child_clause:
-                infos.append((child, None))
-                continue
-            child_key = (child._uid, clause_key(child_clause))
-            infos.append((child, child_key))
-            if child_key not in conds:
-                pending.append((child, child_clause))
-        if pending:
-            stack.extend(pending)
-            continue
-        new_children: List[SPE] = []
-        changed = False
-        failed = False
-        for child, child_key in infos:
-            if child_key is None:
-                new_children.append(child)
-                continue
-            conditioned = conds[child_key]
-            if conditioned is None:
-                failed = True
-                break
-            changed = changed or (conditioned is not child)
-            new_children.append(conditioned)
-        if failed:
-            conds[key] = None
-        elif not changed:
-            conds[key] = node
-        else:
-            conds[key] = spe_product(new_children)
-        stack.pop()
-    return conds[key0]
+    return _walk("condition", root, clause, memo)
 
-
-# ---------------------------------------------------------------------------
-# Lexicographic density of an equality assignment.
-# ---------------------------------------------------------------------------
 
 def logpdf_pair(root: SPE, assignment: Dict[str, object], memo: Memo) -> DensityPair:
     """Lexicographic density (continuous dimension count, log density)."""
-    dens = _WorkingSet("logpdf", memo)
-    key0 = _root_key(root, assignment, assignment_key)
-    cached = dens.root(key0)
-    if cached is not _MISSING:
-        return cached
-    stack = [(root, assignment)]
-    while stack:
-        node, incoming = stack[-1]
-        restricted = node._restrict(incoming)
-        key = (node._uid, assignment_key(restricted))
-        if key in dens:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            dens[key] = node._logpdf_restricted(restricted)
-            stack.pop()
-            continue
-        if isinstance(node, SumSPE):
-            child_keys = []
-            pending = []
-            for child in node.children:
-                child_key = (child._uid, assignment_key(child._restrict(restricted)))
-                child_keys.append(child_key)
-                if child_key not in dens:
-                    pending.append((child, restricted))
-            if pending:
-                stack.extend(pending)
-                continue
-            positive = [
-                (dens[k][0], dens[k][1], w)
-                for w, k in zip(node.log_weights, child_keys)
-                if dens[k][1] > NEG_INF
-            ]
-            if not positive:
-                dens[key] = (1, NEG_INF)
-            else:
-                min_count = min(d for d, _, _ in positive)
-                terms = [w + lp for d, lp, w in positive if d == min_count]
-                dens[key] = (min_count, log_add(terms))
-            stack.pop()
-            continue
-        # ProductSPE: densities of mentioned components add lexicographically.
-        child_keys = []
-        pending = []
-        for child in node.children:
-            child_assignment = {
-                s: v for s, v in restricted.items() if s in child.scope
-            }
-            if not child_assignment:
-                continue
-            child_key = (child._uid, assignment_key(child_assignment))
-            child_keys.append(child_key)
-            if child_key not in dens:
-                pending.append((child, child_assignment))
-        if pending:
-            stack.extend(pending)
-            continue
-        count = 0
-        total = 0.0
-        for k in child_keys:
-            child_count, child_logpdf = dens[k]
-            count += child_count
-            total += child_logpdf
-        dens[key] = (count, total)
-        stack.pop()
-    return dens[key0]
+    return _walk("logpdf", root, assignment, memo)
 
-
-# ---------------------------------------------------------------------------
-# Conditioning on (possibly measure-zero) equality constraints.
-# ---------------------------------------------------------------------------
 
 def constrain_clause(
     root: SPE, assignment: Dict[str, object], memo: Memo
 ) -> Optional[SPE]:
     """Condition on equality constraints; None if the density is zero."""
-    cons = _WorkingSet("constrain", memo)
-    key0 = _root_key(root, assignment, assignment_key)
-    cached = cons.root(key0)
-    if cached is not _MISSING:
-        return cached
-    stack = [(root, assignment)]
-    while stack:
-        node, incoming = stack[-1]
-        restricted = node._restrict(incoming)
-        key = (node._uid, assignment_key(restricted))
-        if key in cons:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            cons[key] = node._constrain_restricted(restricted)
-            stack.pop()
-            continue
-        if isinstance(node, SumSPE):
-            # Only children achieving the minimal continuous-dimension count
-            # survive (the lexicographic semantics of Remark 4.2).
-            densities = [
-                logpdf_pair(child, restricted, memo) for child in node.children
-            ]
-            positive = [
-                (i, d, lp) for i, (d, lp) in enumerate(densities) if lp > NEG_INF
-            ]
-            if not positive:
-                cons[key] = None
-                stack.pop()
-                continue
-            min_count = min(d for _, d, _ in positive)
-            pending = []
-            for i, d, _ in positive:
-                if d != min_count:
-                    continue
-                child = node.children[i]
-                child_key = (child._uid, assignment_key(child._restrict(restricted)))
-                if child_key not in cons:
-                    pending.append((child, restricted))
-            if pending:
-                stack.extend(pending)
-                continue
-            children: List[SPE] = []
-            log_weights: List[float] = []
-            for i, d, lp in positive:
-                if d != min_count:
-                    continue
-                child = node.children[i]
-                constrained = cons[
-                    (child._uid, assignment_key(child._restrict(restricted)))
-                ]
-                if constrained is None:
-                    continue
-                children.append(constrained)
-                log_weights.append(node.log_weights[i] + lp)
-            cons[key] = spe_sum(children, log_weights) if children else None
-            stack.pop()
-            continue
-        # ProductSPE: constrain each mentioned component independently.
-        infos = []
-        pending = []
-        for child in node.children:
-            child_assignment = {
-                s: v for s, v in restricted.items() if s in child.scope
-            }
-            if not child_assignment:
-                infos.append((child, None))
-                continue
-            child_key = (child._uid, assignment_key(child_assignment))
-            infos.append((child, child_key))
-            if child_key not in cons:
-                pending.append((child, child_assignment))
-        if pending:
-            stack.extend(pending)
-            continue
-        new_children: List[SPE] = []
-        changed = False
-        failed = False
-        for child, child_key in infos:
-            if child_key is None:
-                new_children.append(child)
-                continue
-            constrained = cons[child_key]
-            if constrained is None:
-                failed = True
-                break
-            changed = changed or (constrained is not child)
-            new_children.append(constrained)
-        if failed:
-            cons[key] = None
-        elif not changed:
-            cons[key] = node
-        else:
-            cons[key] = spe_product(new_children)
-        stack.pop()
-    return cons[key0]
+    return _walk("constrain", root, assignment, memo)
+
+
+# ---------------------------------------------------------------------------
+# Rules.  Each returns its value, or _PENDING after pushing what it needs.
+# ---------------------------------------------------------------------------
+
+_LEAF_RULES = {
+    "logprob": Leaf._logprob_restricted,
+    "condition": Leaf._condition_restricted,
+    "logpdf": Leaf._logpdf_restricted,
+    "constrain": Leaf._constrain_restricted,
+}
+
+
+def _waiting(values) -> bool:
+    """Whether any dependency in ``values`` is still pending."""
+    for value in values:
+        if value is _PENDING:
+            return True
+    return False
+
+
+def _need_all(kind, children, restricted, restricted_key, need) -> list:
+    """``need`` each child under the parent's clause (a sum's children)."""
+    return [need(kind, child, restricted, restricted_key) for child in children]
+
+
+def _split(node: ProductSPE, restricted) -> list:
+    """``(component, its part of the clause)`` for each product component."""
+    return [(child, child._restrict(restricted)) for child in node.children]
+
+
+def _lowest_dimension(node: SumSPE, densities):
+    """The children of positive density with the fewest continuous
+    dimensions (Remark 4.2), as ``(count, [(weight + log density, child)])``;
+    None when every density is zero."""
+    positive = [
+        (count, w + lp, child)
+        for w, (count, lp), child in zip(node.log_weights, densities, node.children)
+        if lp > NEG_INF
+    ]
+    if not positive:
+        return None
+    lowest = min(count for count, _, _ in positive)
+    return lowest, [(w, child) for count, w, child in positive if count == lowest]
+
+
+def _sum_logprob(node: SumSPE, restricted, restricted_key, need):
+    logps = _need_all("logprob", node.children, restricted, restricted_key, need)
+    if _waiting(logps):
+        return _PENDING
+    return log_add([w + lp for w, lp in zip(node.log_weights, logps)])
+
+
+def _sum_condition(node: SumSPE, restricted, restricted_key, need):
+    # Children whose branch retains positive probability are conditioned.
+    logps = _need_all("logprob", node.children, restricted, restricted_key, need)
+    if _waiting(logps):
+        return _PENDING
+    kept = [
+        (w + lp, child)
+        for w, lp, child in zip(node.log_weights, logps, node.children)
+        if lp != NEG_INF
+    ]
+    return _sum_posterior("condition", kept, restricted, restricted_key, need)
+
+
+def _sum_logpdf(node: SumSPE, restricted, restricted_key, need):
+    densities = _need_all("logpdf", node.children, restricted, restricted_key, need)
+    if _waiting(densities):
+        return _PENDING
+    lowest = _lowest_dimension(node, densities)
+    if lowest is None:
+        return (1, NEG_INF)
+    return (lowest[0], log_add([w for w, _ in lowest[1]]))
+
+
+def _sum_constrain(node: SumSPE, restricted, restricted_key, need):
+    # Only children achieving the minimal continuous-dimension count
+    # survive (the lexicographic semantics of Remark 4.2).
+    densities = _need_all("logpdf", node.children, restricted, restricted_key, need)
+    if _waiting(densities):
+        return _PENDING
+    lowest = _lowest_dimension(node, densities)
+    if lowest is None:
+        return None
+    return _sum_posterior("constrain", lowest[1], restricted, restricted_key, need)
+
+
+def _sum_posterior(kind, kept, restricted, restricted_key, need):
+    """Mix the ``kind`` posteriors of the ``(log weight, child)`` pairs
+    that are not None (None if every one is)."""
+    children = [child for _, child in kept]
+    posteriors = _need_all(kind, children, restricted, restricted_key, need)
+    if _waiting(posteriors):
+        return _PENDING
+    mixed = [(p, w) for p, (w, _) in zip(posteriors, kept) if p is not None]
+    if not mixed:
+        return None
+    return spe_sum([p for p, _ in mixed], [w for _, w in mixed])
+
+
+def _need_mentioned(kind, node: ProductSPE, restricted, need) -> list:
+    """``need`` each product component the clause mentions, in order."""
+    return [
+        need(kind, child, part, clause_key(part))
+        for child, part in _split(node, restricted)
+        if part
+    ]
+
+
+def _product_logprob(node: ProductSPE, restricted, need):
+    # Only components mentioned by the clause contribute.
+    logps = _need_mentioned("logprob", node, restricted, need)
+    if _waiting(logps):
+        return _PENDING
+    return sum(logps)
+
+
+def _product_logpdf(node: ProductSPE, restricted, need):
+    # Densities of mentioned components add lexicographically.
+    densities = _need_mentioned("logpdf", node, restricted, need)
+    if _waiting(densities):
+        return _PENDING
+    count = 0
+    total = 0.0
+    for child_count, child_logpdf in densities:
+        count += child_count
+        total += child_logpdf
+    return (count, total)
+
+
+def _product_posterior(kind: str, node: ProductSPE, restricted, need):
+    # Each mentioned component is conditioned (constrained) independently;
+    # the others stay as they are.
+    children = [
+        need(kind, child, part, clause_key(part)) if part else child
+        for child, part in _split(node, restricted)
+    ]
+    if _waiting(children):
+        return _PENDING
+    if None in children:
+        return None
+    if all(new is old for new, old in zip(children, node.children)):
+        return node
+    return spe_product(children)
+
+
+_SUM_RULES = {
+    "logprob": _sum_logprob,
+    "condition": _sum_condition,
+    "logpdf": _sum_logpdf,
+    "constrain": _sum_constrain,
+}
+
+_PRODUCT_RULES = {
+    "logprob": _product_logprob,
+    "condition": partial(_product_posterior, "condition"),
+    "logpdf": _product_logpdf,
+    "constrain": partial(_product_posterior, "constrain"),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,12 @@ def pytest_report_header(config):
     return "REPRO_CHAOS_SEED=%d" % (CHAOS_SEED,)
 
 
+@pytest.fixture(scope="session")
+def chaos_seed():
+    """``REPRO_CHAOS_SEED``, for fixtures wider than one test."""
+    return CHAOS_SEED
+
+
 @pytest.fixture
 def chaos_rng():
     """A fresh PRNG seeded from ``REPRO_CHAOS_SEED`` (per-test, so test

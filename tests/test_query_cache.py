@@ -9,7 +9,8 @@ Covers the hardening pass on the persistent cache:
 * clear() scoped to one model's reachable sub-expressions,
 * ZeroProbabilityError from both condition() and constrain(), leaving the
   shared cache uncorrupted,
-* concurrent queries against one bounded shared cache.
+* concurrent queries against one bounded shared cache,
+* one counted lookup per traversal and one shared lookup per key.
 """
 
 import math
@@ -446,6 +447,77 @@ class TestExactCounters:
         assert (memo.hits, memo.misses) == (1, 1)
         memo.clear()
         assert (memo.hits, memo.misses) == (0, 0)
+
+
+@pytest.fixture(scope="module")
+def hmm20():
+    """A fresh-model factory over one hmm20 expression (a function, so a
+    failure report does not print the expression graph)."""
+    spe = hmm.model(20).spe
+    return lambda cache: SpplModel(spe, cache=cache)
+
+
+class CountingCache(QueryCache):
+    """An unbounded QueryCache that records its shared lookups."""
+
+    def __init__(self):
+        super().__init__(max_entries=None)
+        self.looked_up = []
+        self.puts = 0
+
+    def get(self, key, default=None, count=False):
+        self.looked_up.append(key)
+        return super().get(key, default, count)
+
+    def put(self, key, value):
+        self.puts += 1
+        super().put(key, value)
+
+
+def _observations(n):
+    data = hmm.simulate_data(20, seed=0)
+    return hmm.observation_assignment(data["x"][:n], data["y"][:n])
+
+
+class TestTraversalLookups:
+    """One post-order walk per query: the root lookup is the only counted
+    one, and every key is looked up in the shared cache once."""
+
+    def test_condition_counts_its_two_top_level_lookups(self, hmm20):
+        # condition() runs one logprob and one condition traversal; the
+        # logprob values its sum frames need are not top-level lookups.
+        model = hmm20(QueryCache(max_entries=None))
+        model.condition("X[4] > 0.3")
+        assert (model.cache.hits, model.cache.misses) == (0, 2)
+        model.condition("X[4] > 0.3")
+        assert (model.cache.hits, model.cache.misses) == (2, 2)
+
+    def test_constrain_counts_one_top_level_lookup(self, hmm20):
+        model = hmm20(QueryCache(max_entries=None))
+        model.constrain(_observations(3))
+        assert (model.cache.hits, model.cache.misses) == (0, 1)
+
+    @pytest.mark.parametrize("query", ["logprob", "logpdf"])
+    def test_one_shared_lookup_per_key(self, hmm20, query):
+        cache = CountingCache()
+        model = hmm20(cache)
+        if query == "logprob":
+            model.logprob("X[4] > 0.3")
+        else:
+            model.logpdf(_observations(3))
+        assert cache.total_entries() > 100
+        assert len(cache.looked_up) == cache.puts == cache.total_entries()
+
+    def test_condition_walk_looks_up_each_key_once(self, hmm20):
+        # The sum frames of the condition walk read their children's
+        # probabilities as ordinary dependencies, each key once.
+        cache = CountingCache()
+        model = hmm20(cache)
+        model.logprob("X[4] > 0.3")  # the walk condition() runs first
+        del cache.looked_up[:]
+        model.condition("X[4] > 0.3")
+        assert len(cache.looked_up) == len(set(cache.looked_up))
+        assert cache.puts == cache.total_entries()
 
 
 class TestMemoCompatibility:
